@@ -1,9 +1,10 @@
 // bench_scale: the client-scale sweep (ISSUE 8 tentpole artifact).
 //
-// Runs the streaming cohort trainer at m = 10^3..10^5 clients with a fixed
-// cohort size, so the per-round cost and the resident set stay O(cohort*d)
-// while the membership axis grows by two orders of magnitude.  Emits
-// BENCH_scale.json (bench_json.hpp shape) with two record kinds per cell:
+// Runs the centralized trainer under cohort= at m = 10^3..10^5 clients
+// with a fixed cohort size, so the per-round cost and the resident set
+// stay O(cohort*d) while the membership axis grows by two orders of
+// magnitude.  Emits BENCH_scale.json (bench_json.hpp shape) with two
+// record kinds per cell:
 //
 //   cohort_round   ns_op = wall nanoseconds per training round.
 //                  speedup_vs_naive compares against the full-upload path
@@ -11,10 +12,6 @@
 //                  O(m*d) round batch) at the same m, measured in the same
 //                  process — only while that reference is still reasonable
 //                  to run (--compare-max, default 2000), 0 elsewhere.
-//                  (The pre-cohort lockstep loop itself cannot be the
-//                  reference here: it builds a Client per id and refuses
-//                  empty shards, so it does not run past the dataset
-//                  size.)
 //   peak_rss_kb    ns_op carries getrusage(RUSAGE_SELF).ru_maxrss in KiB
 //                  (the schema has one numeric slot; the op name declares
 //                  the unit).  ru_maxrss is a process-lifetime high-water
@@ -196,7 +193,7 @@ int main(int argc, char** argv) {
   // synthetic sketch_m x d inbox — the >= 10^4-row regime where
   // sketch=auto engages — aggregated through aggregate_sharded with the
   // exact rule pair versus its SKETCH-* counterparts, exactly the swap
-  // run_cohort performs.  Isolated from the trainer so the record
+  // the centralized server round performs.  Isolated from the trainer so the record
   // measures the aggregation win alone, not gradient computation.
   //
   // The inbox mirrors the regime the sketch screen is for: a unit-scale

@@ -50,7 +50,7 @@
 //             aggregation (CohortConfig grammar: none |
 //             "<frac>[,shards=S,root=RULE]"; centralized
 //             topology only)                             [none]
-//   sketch    sketched shard rules on the cohort path
+//   sketch    sketched shard rules on the server round
 //             (auto | on | off; auto switches at inboxes
 //             of >= 10^4 rows)                           [auto]
 //   trace     flight-recorder level (off | spans | full;
@@ -135,11 +135,10 @@ struct ScenarioSpec {
   /// Cohort-subsampling grammar string (CohortConfig::parse: "none" or
   /// "<frac>[,shards=S,root=RULE]").  Centralized topology only (the
   /// runner rejects it on decentralized specs).  Validated eagerly,
-  /// stored verbatim.  "none" = every client uploads, bitwise the
-  /// pre-cohort path; "1.0,shards=1" routes the full membership through
-  /// the streaming cohort path, also bitwise identical (test-enforced).
+  /// stored verbatim.  "none" = every client uploads; "1.0,shards=1"
+  /// samples the full membership and is bitwise identical (test-enforced).
   std::string cohort = "none";
-  /// Sketched shard aggregation on the cohort path: "auto" (default)
+  /// Sketched shard aggregation on the server round: "auto" (default)
   /// swaps the shard/root rules for their SKETCH-* counterparts once the
   /// round inbox reaches TrainingConfig::kSketchAutoThreshold rows; "on"
   /// forces the swap at every size; "off" never sketches.  Only rules

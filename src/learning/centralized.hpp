@@ -1,9 +1,36 @@
 #pragma once
 // Centralized collaborative learning (Section 2.1): a trusted server holds
-// the global model; every round each client computes a stochastic gradient
-// at the global parameters, Byzantine clients corrupt theirs, the server
-// aggregates all submissions with the configured rule and applies one SGD
+// the global model; every round clients compute stochastic gradients at the
+// global parameters, Byzantine clients corrupt theirs, the server
+// aggregates the submissions with the configured rule and applies one SGD
 // step.  Reproduces the Figure 1 / Figure 2 experiments.
+//
+// One round loop serves every membership mode.  Each round runs, in order:
+//   1. members   the cohort sample (all n ids without cohort=) intersected
+//                with the FaultPlan's liveness; a live member with no
+//                upload in flight starts a gradient;
+//   2. gradients per-lane scratch models (stochastic_gradient_with), so no
+//                client owns a model replica;
+//   3. arrivals  a fresh upload is written straight into the round's
+//                GradientBatch row; only an upload landing in a later round
+//                (a straggler, or an attack choosing staleness) is carried
+//                in flight, and lands with weight decay^staleness if it is
+//                at most tau versions old;
+//   4. attack    Byzantine arrivals corrupt their rows against the honest
+//                arrivals; a silent client's row is dropped;
+//   5. aggregate one step through aggregate_sharded (the rule itself with
+//                one shard), with the sparse Gram build when every row
+//                arrived sparse-encoded at weight 1, and sketch= applied by
+//                inbox size;
+//   6. finish    downlink error feedback, SGD, evaluation, honest-gradient
+//                diameter, star pricing and byte accounting.
+//
+// The rule's (n, t): n is the number of uploads due this round, a silent
+// Byzantine client included, and t is clamp_byzantine_budget(t, n).  A
+// round whose inbox is below n - t, or below the stale quorum, leaves the
+// model unchanged and is counted degraded.  With a full cohort, or with
+// every upload fresh, the loop replays the plain run bitwise
+// (test-enforced).
 
 #include "learning/client.hpp"
 #include "learning/config.hpp"
@@ -12,45 +39,20 @@ namespace bcl {
 
 class CentralizedTrainer {
  public:
-  /// `train` and `test` must outlive the trainer.  Clients are created from
-  /// the partition scheme in the config; the last f client ids are
+  /// `train` and `test` must outlive the trainer.  Clients are the shards
+  /// of the partition scheme in the config; the last f client ids are
   /// Byzantine.
   CentralizedTrainer(TrainingConfig config, ModelFactory factory,
                      const ml::Dataset* train, const ml::Dataset* test);
 
-  /// Runs the full training loop; returns the per-round accuracy history of
-  /// the global model.  Dispatches on the config: the default lockstep
-  /// barrier loop, the elastic bounded-staleness loop when faults= or
-  /// stale= is set (run_elastic below), or the streaming cohort loop when
-  /// cohort= is set (run_cohort below).
+  /// Runs the full training loop; returns the per-round history of the
+  /// global model.
   TrainingResult run();
 
   /// The global parameter vector (valid after run()).
   const Vector& parameters() const { return global_params_; }
 
  private:
-  /// The pre-fault global-barrier loop, preserved verbatim: every client
-  /// uploads every round, the server waits for all of them.  faults=none
-  /// stale=none takes exactly this path (bitwise-equality is test-enforced).
-  TrainingResult run_lockstep();
-
-  /// Elastic membership + bounded staleness: a FaultPlan drives per-round
-  /// liveness, clients own in-flight gradients that arrive after their
-  /// straggler delay (or the attack's chosen staleness), the server steps
-  /// on a quorum of arrivals at most tau versions old and skips (degraded)
-  /// rounds below it — fixed round loop, so it can never hang.
-  TrainingResult run_elastic();
-
-  /// Streaming cohort loop (the cohort= dimension, built for the 10^4-10^6
-  /// client axis): per-client state is O(1) each (a private RNG stream and
-  /// the shard index list — no per-client model replica), each round draws
-  /// its uploaders from cohort_stream, gradients stream through one
-  /// O(cohort * d) batch computed by per-lane scratch models, and
-  /// aggregation runs through the sharded hierarchy.  Mirrors
-  /// run_lockstep's RNG-split and operation order exactly, so
-  /// cohort=1.0,shards=1 replays it bitwise (test-enforced).
-  TrainingResult run_cohort();
-
   TrainingConfig config_;
   ModelFactory factory_;
   const ml::Dataset* train_;

@@ -28,9 +28,9 @@ struct GradientEstimate {
 /// writes the gradient into out_gradient[0..parameter_count).  Returns the
 /// mini-batch loss.  The scratch model's state is fully overwritten, so
 /// which replica computes a given (parameters, shard, rng) triple never
-/// affects the result — the streaming cohort trainer runs one replica per
+/// affects the result — the centralized trainer runs one replica per
 /// worker lane over many clients and stays bitwise identical to the
-/// replica-per-client path (test-enforced).
+/// replica-per-client path.
 double stochastic_gradient_with(ml::Model& scratch, const ml::Dataset& data,
                                 const std::vector<std::size_t>& shard,
                                 std::size_t batch_size, Rng& rng,

@@ -36,8 +36,8 @@ struct CohortConfig {
   std::string root;          ///< root rule name; empty = the scenario rule.
 
   /// True when a cohort fraction was configured.  Note fraction = 1.0 is
-  /// *enabled*: the full membership uploads, but through the streaming
-  /// cohort path (test-enforced bitwise identical to the lockstep path).
+  /// *enabled*: the full membership is sampled each round (test-enforced
+  /// bitwise identical to disabled).
   bool enabled() const { return fraction > 0.0; }
 
   /// Parses "none" or "<frac>[,key=val,...]".  frac must be in (0, 1];

@@ -79,9 +79,9 @@ void validate_config(const TrainingConfig& config) {
   }
   if (config.cohort.enabled() &&
       (config.faults.any() || config.stale.enabled())) {
-    // The streaming cohort loop replaces the lockstep barrier; composing
-    // it with the elastic fault/staleness loop (which owns its own
-    // membership sampling) is unspecified — reject instead of guessing.
+    // Cohort sampling over a faulty or stale membership (uploads in
+    // flight across sampled rounds) is unspecified — reject instead of
+    // guessing.
     throw std::invalid_argument(
         "TrainingConfig: cohort= cannot be combined with faults= or stale=");
   }

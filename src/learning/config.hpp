@@ -71,9 +71,10 @@ struct TrainingConfig {
   /// "none" keeps every client up for the whole run and the trainers on a
   /// code path bitwise identical to the pre-fault one.  Otherwise a
   /// FaultPlan expanded over the run's rounds drives crashes, recoveries,
-  /// MMPP churn and stragglers: the centralized trainer runs its elastic
-  /// membership loop, the decentralized trainer freezes the plan's
-  /// membership across each learning round's agreement sub-rounds.
+  /// MMPP churn and stragglers: the centralized trainer intersects each
+  /// round's membership with the plan's liveness, the decentralized
+  /// trainer freezes the plan's membership across each learning round's
+  /// agreement sub-rounds.
   FaultConfig faults;
 
   /// Bounded-staleness round policy (the scenario `stale=` dimension),
@@ -85,15 +86,15 @@ struct TrainingConfig {
   /// Cohort subsampling + sharded aggregation (the scenario `cohort=`
   /// dimension), centralized only: a fraction > 0 makes each round sample
   /// its uploaders from cohort_stream and keeps round memory at
-  /// O(cohort * d) via the streaming gradient path; `shards` > 1 splits
-  /// the robust aggregation hierarchically (see aggregation/sharded.hpp).
-  /// Disabled (fraction 0) keeps the lockstep path; fraction 1.0 with one
-  /// shard runs the streaming path with bitwise-identical results
-  /// (test-enforced).  Mutually exclusive with faults/stale.
+  /// O(cohort * d); `shards` > 1 splits the robust aggregation
+  /// hierarchically (see aggregation/sharded.hpp).  Disabled (fraction 0)
+  /// means every client uploads; fraction 1.0 with one shard gives
+  /// bitwise-identical results (test-enforced).  Mutually exclusive with
+  /// faults/stale.
   CohortConfig cohort;
 
   /// Sketched shard aggregation (the scenario `sketch=` dimension),
-  /// cohort path only.  "auto" (default) swaps the cohort round's shard
+  /// centralized only.  "auto" (default) swaps the server round's shard
   /// and root rules for their SKETCH-* counterparts (see
   /// aggregation/sketched.hpp) once the round inbox reaches
   /// kSketchAutoThreshold rows — the regime where the O(m^2 d) distance
@@ -116,7 +117,7 @@ struct TrainingConfig {
   /// path branch-free.
   obs::MetricsRegistry* metrics = nullptr;
 
-  /// Inbox size at which sketch="auto" switches the cohort shard rules to
+  /// Inbox size at which sketch="auto" switches the shard rules to
   /// their sketched counterparts.
   static constexpr std::size_t kSketchAutoThreshold = 10000;
 

@@ -3,18 +3,23 @@
 // the FaultPlan expansion (determinism, the cap invariant, per-family
 // semantics), RNG stream isolation across the fault/message/codec streams,
 // EventNetwork termination and degraded-round accounting under churn, the
-// elastic centralized trainer, and the faults=none bitwise-equality
-// contract.
+// elastic centralized trainer, the faults=none bitwise-equality contract,
+// and the membership-mode equivalence grid (cohort=1 and stale=1 against
+// the plain run).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "aggregation/registry.hpp"
 #include "attacks/registry.hpp"
 #include "compression/codec.hpp"
+#include "compression/registry.hpp"
 #include "experiments/runner.hpp"
 #include "experiments/scenario.hpp"
 #include "experiments/sweep.hpp"
@@ -27,6 +32,7 @@
 #include "network/delay_model.hpp"
 #include "network/event_network.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace bcl {
 namespace {
@@ -450,6 +456,139 @@ TEST(CentralizedFaults, StaleStrikeSubmitsAtMaxStaleness) {
   EXPECT_EQ(attack->submit_staleness(5, 1), 1u);
   // Rushing attacks claim zero staleness by default.
   EXPECT_EQ(make_attack("sign-flip")->submit_staleness(0, 3), 0u);
+}
+
+// --- membership-mode equivalence grid --------------------------------------
+//
+// The centralized trainer has one round loop whose membership comes from
+// three knobs: nothing (every client uploads every round), cohort= (a
+// sampled subset) and faults=/stale= (liveness and in-flight uploads).
+// With a full cohort, or with stale=1 and only rushing attacks and no
+// stragglers, every upload is fresh and every client is a member, so both
+// must replay the plain run bitwise: every RoundMetrics double except the
+// wall clock, and the final parameters.  The grid crosses the rule
+// families, a silent Byzantine client, a data-poisoning attack, a sparse
+// codec and the async star pricing.
+
+struct GridRun {
+  TrainingResult result;
+  Vector parameters;
+};
+
+struct GridCell {
+  std::string name;
+  GridRun lockstep, cohort, stale;
+};
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool bitwise_equal(const GridRun& a, const GridRun& b) {
+  if (a.result.history.size() != b.result.history.size()) return false;
+  for (std::size_t r = 0; r < a.result.history.size(); ++r) {
+    const RoundMetrics& x = a.result.history[r];
+    const RoundMetrics& y = b.result.history[r];
+    const double xs[] = {x.accuracy,       x.accuracy_min,   x.accuracy_max,
+                         x.mean_honest_loss, x.learning_rate, x.disagreement,
+                         x.gradient_diameter, x.sim_seconds,
+                         x.bytes_delivered, x.bytes_dense,   x.live_clients,
+                         x.stale_accepted,  x.stale_rejected, x.degraded,
+                         x.cohort,          x.shards};
+    const double ys[] = {y.accuracy,       y.accuracy_min,   y.accuracy_max,
+                         y.mean_honest_loss, y.learning_rate, y.disagreement,
+                         y.gradient_diameter, y.sim_seconds,
+                         y.bytes_delivered, y.bytes_dense,   y.live_clients,
+                         y.stale_accepted,  y.stale_rejected, y.degraded,
+                         y.cohort,          y.shards};
+    if (x.round != y.round) return false;
+    for (std::size_t k = 0; k < std::size(xs); ++k) {
+      if (!same_bits(xs[k], ys[k])) return false;
+    }
+  }
+  if (a.parameters.size() != b.parameters.size()) return false;
+  for (std::size_t k = 0; k < a.parameters.size(); ++k) {
+    if (!same_bits(a.parameters[k], b.parameters[k])) return false;
+  }
+  return true;
+}
+
+// 6 rules x 4 attacks x 2 codecs x 2 nets = 96 cells, each run three ways.
+// Cells run in parallel (one serial trainer each); computed once and shared
+// by the two tests below.
+const std::vector<GridCell>& membership_grid() {
+  static const std::vector<GridCell> grid = [] {
+    const auto data = ml::make_synthetic_dataset(tiny_spec(21));
+    const auto factory = tiny_mlp_factory(data.train.feature_dim());
+    std::vector<std::vector<std::string>> axes;
+    for (const char* rule :
+         {"MEAN", "CW-MEDIAN", "KRUM", "MD-GEOM", "BOX-MEAN", "BOX-GEOM"}) {
+      for (const char* attack :
+           {"sign-flip", "label-flip", "alie", "crash:from=1"}) {
+        for (const char* comp : {"identity", "topk:frac=0.1"}) {
+          for (const char* net : {"sync", "async:delay=exp,mean=2"}) {
+            axes.push_back({rule, attack, comp, net});
+          }
+        }
+      }
+    }
+    std::vector<GridCell> cells(axes.size());
+    const auto run_cell = [&](std::size_t c) {
+      const auto& axis = axes[c];
+      cells[c].name =
+          axis[0] + " " + axis[1] + " " + axis[2] + " " + axis[3];
+      const auto run = [&](const char* cohort, const char* stale) {
+        TrainingConfig cfg = base_config(axis[0], axis[1]);
+        cfg.num_byzantine = 2;
+        cfg.rounds = 4;
+        cfg.codec = make_codec(axis[2]);
+        cfg.net = NetConfig::parse(axis[3]);
+        cfg.cohort = CohortConfig::parse(cohort);
+        cfg.stale = StaleConfig::parse(stale);
+        cfg.eval_max_examples = 60;
+        CentralizedTrainer trainer(cfg, factory, &data.train, &data.test);
+        GridRun out;
+        out.result = trainer.run();
+        out.parameters = trainer.parameters();
+        return out;
+      };
+      cells[c].lockstep = run("none", "none");
+      cells[c].cohort = run("1", "none");
+      cells[c].stale = run("none", "1");
+    };
+    ThreadPool pool(3);
+    pool.parallel_for_dynamic(0, cells.size(), run_cell, 1);
+    return cells;
+  }();
+  return grid;
+}
+
+TEST(MembershipGrid, FullCohortReplaysLockstepBitwise) {
+  const auto& grid = membership_grid();
+  ASSERT_EQ(grid.size(), 96u);
+  std::size_t equal = 0;
+  for (const GridCell& cell : grid) {
+    if (bitwise_equal(cell.lockstep, cell.cohort)) {
+      ++equal;
+    } else {
+      ADD_FAILURE() << "cohort=1 differs from lockstep: " << cell.name;
+    }
+  }
+  EXPECT_EQ(equal, grid.size());
+}
+
+TEST(MembershipGrid, FreshStaleOneReplaysLockstepBitwise) {
+  const auto& grid = membership_grid();
+  ASSERT_EQ(grid.size(), 96u);
+  std::size_t equal = 0;
+  for (const GridCell& cell : grid) {
+    if (bitwise_equal(cell.lockstep, cell.stale)) {
+      ++equal;
+    } else {
+      ADD_FAILURE() << "stale=1 differs from lockstep: " << cell.name;
+    }
+  }
+  EXPECT_EQ(equal, grid.size());
 }
 
 TEST(DecentralizedFaults, RejectsStaleConfig) {

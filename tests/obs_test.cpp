@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -352,6 +353,40 @@ TEST(TraceBitwiseTest, TracedDecentralizedAsyncRunMatchesUntraced) {
   EXPECT_GT(full.metrics.counter_or("agreement.gram_builds"), 0u);
   EXPECT_GT(full.metrics.counter_or("net.messages_delivered"), 0u);
   EXPECT_EQ(off.metrics.counters, full.metrics.counters);
+}
+
+// The attack span must time the corruption only.  In a stale=1 cell the
+// round goes through the staleness machinery; aggregation and evaluation
+// still run after the attack and must not be attributed to it.
+TEST(TraceAttributionTest, AttackSpanWrapsOnlyTheCorruption) {
+  ScenarioSpec spec = small_spec("spans");
+  spec.stale = "1";
+  ScenarioRunner runner;
+  const ScenarioSummary summary = runner.run(spec);
+  ASSERT_TRUE(summary.error.empty()) << summary.error;
+  std::map<std::uint32_t, std::vector<std::string>> open;  // per thread
+  std::size_t attack_spans = 0;
+  std::size_t aggregate_spans = 0;
+  for (const obs::TraceRecord& record : summary.trace) {
+    std::vector<std::string>& stack = open[record.tid];
+    const std::string name = record.name;
+    if (record.phase == 'E') {
+      ASSERT_FALSE(stack.empty());
+      EXPECT_EQ(stack.back(), name);
+      stack.pop_back();
+      continue;
+    }
+    if (name == "attack.corrupt") ++attack_spans;
+    if (name == "aggregate.rule") ++aggregate_spans;
+    if (name == "aggregate.rule" || name == "evaluate") {
+      for (const std::string& outer : stack) {
+        EXPECT_NE(outer, "attack.corrupt") << name << " nested in the attack";
+      }
+    }
+    stack.push_back(name);
+  }
+  EXPECT_EQ(attack_spans, spec.rounds);
+  EXPECT_EQ(aggregate_spans, spec.rounds);
 }
 
 TEST(TraceEmitterTest, WritesPerCellTraceFiles) {

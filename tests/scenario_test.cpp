@@ -617,6 +617,24 @@ TEST(ScenarioRunner, MeanRootShardCountDoesNotChangeHistory) {
   }
 }
 
+// sketch= applies to the server round in every membership mode: with
+// sketch=on a KRUM cell screens through SKETCH-KRUM once per round, with
+// or without cohort=.
+TEST(ScenarioRunner, SketchOnAppliesWithAndWithoutCohort) {
+  experiments::ScenarioRunner runner;
+  for (const char* cohort : {"none", "1"}) {
+    auto spec = ScenarioSpec::parse(
+        "rule=KRUM attack=sign-flip n=8 f=1 rounds=2 eval-max=40 sketch=on");
+    spec.set("cohort", cohort);
+    const auto summary = runner.run(spec);
+    ASSERT_TRUE(summary.error.empty()) << summary.error;
+    EXPECT_EQ(summary.metrics.counter_or("sketch.certified") +
+                  summary.metrics.counter_or("sketch.fallbacks"),
+              2u)
+        << "cohort=" << cohort;
+  }
+}
+
 TEST(ScenarioRunner, CohortOnDecentralizedIsAnErrorSummary) {
   // cohort= is a server-side mechanism; on the decentralized topology the
   // runner records the mismatch as the cell's error (sweeps keep going).
