@@ -49,9 +49,14 @@
 // (artifact row order stays deterministic — cells are replayed through
 // the emitters in spec order; traced cells force jobs=1); --dry-run
 // prints the grid in exactly the order the cells would execute.
+//
+// Exit status: 0 on success (and for --help), 1 when a scenario is
+// rejected or fails to run, 2 for a malformed command line (one error
+// line plus the usage on stderr).
 
 #include <algorithm>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -121,18 +126,56 @@ void print_registries() {
   std::cout << "\n\nSee docs/scenarios.md for the full reference.\n";
 }
 
+constexpr const char* kUsage =
+    "usage: bcl_run [--list | --help]\n"
+    "       bcl_run --scenario \"key=value ...\" [overrides] [artifacts]\n"
+    "       bcl_run [sweep axes] [overrides] [artifacts] [--dry-run]\n"
+    "\n"
+    "  --list               print the rule, attack, codec, scenario-key,\n"
+    "                       network, fault, staleness and cohort menus\n"
+    "  --scenario \"...\"     one scenario in the key=value grammar; quote\n"
+    "                       it as one argument (docs/scenarios.md)\n"
+    "  sweep axes           --rules --attacks --topologies --hets --fs\n"
+    "                       (comma lists); --nets --comps --faults\n"
+    "                       (';'-separated lists)\n"
+    "  overrides            --n --t --model --full --rounds --batch --lr\n"
+    "                       --subrounds --delay --net --comp --stale\n"
+    "                       --cohort --seed --eval-max --trace\n"
+    "  artifacts            --csv <base> --json <file> --trace-dir <dir>\n"
+    "                       --profile\n"
+    "  execution            --threads N (worker pool), --jobs N (cells\n"
+    "                       in parallel), --dry-run (print the grid)\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace bcl;
   using experiments::ScenarioSpec;
-  const CliArgs args(argc, argv,
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      std::cout << kUsage;
+      return 0;
+    }
+  }
+  // A malformed command line is a usage error (exit 2), distinct from a
+  // scenario that fails to run (exit 1).
+  const std::optional<CliArgs> parsed = [&]() -> std::optional<CliArgs> {
+    try {
+      return CliArgs(argc, argv,
                      {"list", "scenario", "rules", "attacks", "topologies",
                       "hets", "fs", "nets", "comps", "faults", "n", "t",
                       "model", "full", "rounds", "batch", "lr", "subrounds",
                       "delay", "net", "comp", "stale", "cohort", "seed",
                       "eval-max", "csv", "json", "threads", "jobs",
                       "dry-run", "trace", "trace-dir", "profile"});
+    } catch (const std::invalid_argument& error) {
+      std::cerr << "bcl_run: " << error.what() << "\n" << kUsage;
+      return std::nullopt;
+    }
+  }();
+  if (!parsed) return 2;
+  const CliArgs& args = *parsed;
   if (args.get_bool("list", false)) {
     print_registries();
     return 0;

@@ -5,8 +5,8 @@
 // Besides the google-benchmark suites, main() emits
 // BENCH_micro_aggregation.json (see bench_json.hpp): the Gram-trick
 // distance build, the blocked coordinate-wise reductions, and the
-// batch-native rule path, each against its pre-optimization reference
-// implementation measured in the same process.
+// batch-native rule path and the geometric-median kernel, each against its
+// pre-optimization reference implementation measured in the same process.
 
 #include <benchmark/benchmark.h>
 
@@ -15,6 +15,7 @@
 
 #include "bench_json.hpp"
 #include "core/bcl.hpp"
+#include "../tests/support/weiszfeld_reference.hpp"
 
 namespace {
 
@@ -329,6 +330,51 @@ void emit_json() {
     });
     records.push_back(
         {"krum_batch_gram", m, d, fast, fast > 0.0 ? legacy / fast : 0.0});
+  }
+
+  // The geometric-median kernel against the reference solver it replaced
+  // (the oracle geometry_test checks it against bit for bit): one BOX-GEOM
+  // subset solve at the paper's MLP shape (k = n - t = 9, d = 1842), then
+  // a whole BOX-GEOM aggregation at m = 10, t = 2 (45 subset medians)
+  // against the same construction over gathered subsets.
+  {
+    const std::size_t k = 9, d = 1842;
+    const VectorList pts = make_inputs(k, d, 15);
+    std::vector<const double*> rows;
+    for (const auto& p : pts) rows.push_back(p.data());
+    WeiszfeldScratch scratch;
+    const double naive = time_ns([&] {
+      benchmark::DoNotOptimize(reference::geometric_median_point(pts));
+    });
+    const double fast = time_ns([&] {
+      benchmark::DoNotOptimize(
+          geometric_median_rows(rows.data(), k, d, {}, scratch).point);
+    });
+    records.push_back(
+        {"weiszfeld_subset", k, d, fast, fast > 0.0 ? naive / fast : 0.0});
+  }
+  {
+    const std::size_t m = 10, t = 2, d = 1842;
+    const VectorList pts = make_inputs(m, d, 17);
+    AggregationContext ctx;
+    ctx.n = m;
+    ctx.t = t;
+    const auto reference_box_geom = [&] {
+      VectorList medians;
+      for_each_combination(m, m - t, [&](const std::vector<std::size_t>& idx) {
+        medians.push_back(reference::geometric_median_point(gather(pts, idx)));
+      });
+      return Hyperbox::intersect(trimmed_hyperbox(pts, m - t),
+                                 Hyperbox::bounding(medians))
+          ->midpoint();
+    };
+    const auto rule = make_rule("BOX-GEOM");
+    const double naive =
+        time_ns([&] { benchmark::DoNotOptimize(reference_box_geom()); }, 3);
+    const double fast = time_ns(
+        [&] { benchmark::DoNotOptimize(rule->aggregate(pts, ctx)); }, 3);
+    records.push_back(
+        {"box_geom", m, d, fast, fast > 0.0 ? naive / fast : 0.0});
   }
 
   const char* path = "BENCH_micro_aggregation.json";

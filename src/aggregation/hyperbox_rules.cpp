@@ -9,41 +9,127 @@
 
 namespace bcl {
 
-VectorList subset_aggregates(
-    const VectorList& received, std::size_t keep, ThreadPool* pool,
-    const std::function<Vector(const VectorList&)>& subset_aggregate) {
-  if (pool != nullptr && received.size() > keep) {
-    // Materialize the index sets so disjoint chunks can run on the pool.
-    const auto combos = all_combinations(received.size(), keep);
-    VectorList points(combos.size());
-    pool->parallel_for(0, combos.size(), [&](std::size_t c) {
-      points[c] = subset_aggregate(gather(received, combos[c]));
-    });
-    return points;
+namespace {
+
+// One fold of subset points into a running box: the subset's row view,
+// the solver's scratch, and lo/hi.  A fold is used by one thread at a time.
+class SubsetBoxFold {
+ public:
+  SubsetBoxFold(const VectorList& received, std::size_t keep,
+                SubsetAggregate kind, const WeiszfeldOptions& options)
+      : received_(received),
+        d_(received.front().size()),
+        kind_(kind),
+        options_(options),
+        view_(keep) {}
+
+  // Solves the subset `indices` and folds its point into the box.
+  void add(const std::vector<std::size_t>& indices) {
+    for (std::size_t j = 0; j < indices.size(); ++j) {
+      view_[j] = received_[indices[j]].data();
+    }
+    fold(solve());
   }
-  // Serial path: stream the combinations without materializing them.
-  VectorList points;
-  points.reserve(static_cast<std::size_t>(
-      binomial(received.size(), keep)));
-  for_each_combination(received.size(), keep,
-                       [&](const std::vector<std::size_t>& idx) {
-                         points.push_back(subset_aggregate(gather(received, idx)));
-                       });
-  return points;
+
+  // Folds a fold of later subsets into this one.
+  void merge(const SubsetBoxFold& later) {
+    if (later.empty_) return;
+    fold(later.lo_.data(), later.hi_.data());
+  }
+
+  Hyperbox box() && { return Hyperbox(std::move(lo_), std::move(hi_)); }
+
+ private:
+  const double* solve() {
+    if (kind_ == SubsetAggregate::kGeometricMedian) {
+      return geometric_median_rows(view_.data(), view_.size(), d_, options_,
+                                   scratch_)
+          .point;
+    }
+    // mean() over the gathered subset, accumulated in the same order.
+    mean_.assign(d_, 0.0);
+    for (const double* row : view_) {
+      for (std::size_t k = 0; k < d_; ++k) mean_[k] += row[k];
+    }
+    const double inv = 1.0 / static_cast<double>(view_.size());
+    for (double& x : mean_) x *= inv;
+    return mean_.data();
+  }
+
+  void fold(const double* point) { fold(point, point); }
+
+  // The running value stays the first operand, so on ties (including
+  // -0.0 vs 0.0) the earlier subset's coordinate wins, as in
+  // Hyperbox::bounding.
+  void fold(const double* lo, const double* hi) {
+    if (empty_) {
+      lo_.assign(lo, lo + d_);
+      hi_.assign(hi, hi + d_);
+      empty_ = false;
+      return;
+    }
+    for (std::size_t k = 0; k < d_; ++k) {
+      lo_[k] = std::min(lo_[k], lo[k]);
+      hi_[k] = std::max(hi_[k], hi[k]);
+    }
+  }
+
+  const VectorList& received_;
+  std::size_t d_;
+  SubsetAggregate kind_;
+  WeiszfeldOptions options_;
+  std::vector<const double*> view_;
+  WeiszfeldScratch scratch_;
+  Vector mean_;
+  Vector lo_;
+  Vector hi_;
+  bool empty_ = true;
+};
+
+}  // namespace
+
+Hyperbox subset_aggregate_box(const VectorList& received, std::size_t keep,
+                              SubsetAggregate kind,
+                              const WeiszfeldOptions& options,
+                              ThreadPool* pool) {
+  if (received.empty() || keep == 0 || keep > received.size()) {
+    throw std::invalid_argument(
+        "subset_aggregate_box: need 0 < keep <= received.size()");
+  }
+  check_same_dimension(received);
+  SubsetBoxFold total(received, keep, kind, options);
+  if (pool != nullptr && received.size() > keep) {
+    // Contiguous subset ranges, one fold each, merged back in range order.
+    const auto combos = all_combinations(received.size(), keep);
+    const std::size_t parts = std::min(combos.size(), pool->size() + 1);
+    std::vector<SubsetBoxFold> folds(parts, total);
+    pool->parallel_for(0, parts, [&](std::size_t p) {
+      const std::size_t end = combos.size() * (p + 1) / parts;
+      for (std::size_t c = combos.size() * p / parts; c < end; ++c) {
+        folds[p].add(combos[c]);
+      }
+    });
+    for (const auto& fold : folds) total.merge(fold);
+  } else {
+    for_each_combination(received.size(), keep,
+                         [&](const std::vector<std::size_t>& indices) {
+                           total.add(indices);
+                         });
+  }
+  return std::move(total).box();
 }
 
-Vector hyperbox_aggregate(
-    const VectorList& received, const AggregationContext& ctx,
-    const std::function<Vector(const VectorList&)>& subset_aggregate) {
+Vector hyperbox_aggregate(const VectorList& received,
+                          const AggregationContext& ctx, SubsetAggregate kind,
+                          const WeiszfeldOptions& options) {
   const std::size_t keep = ctx.keep();
   // TH_i: coordinate-wise trim of |M_i| - (n - t) values per side
   // (Definition 2.5).
   const Hyperbox trusted = trimmed_hyperbox(received, keep);
   // GH_i (or its mean analogue): bounding box of subset aggregates
   // (Definition 3.5).
-  const VectorList points =
-      subset_aggregates(received, keep, ctx.pool, subset_aggregate);
-  const Hyperbox aggregate_box = Hyperbox::bounding(points);
+  const Hyperbox aggregate_box =
+      subset_aggregate_box(received, keep, kind, options, ctx.pool);
 
   auto intersection = Hyperbox::intersect(trusted, aggregate_box);
   if (!intersection) {
@@ -81,19 +167,15 @@ Vector BoxMeanRule::aggregate(const VectorList& received,
                               const AggregationContext& ctx) const {
   validate(received, ctx);
   return hyperbox_aggregate(received, with_workspace_pool(ctx, workspace),
-                            [](const VectorList& subset) { return mean(subset); });
+                            SubsetAggregate::kMean);
 }
 
 Vector BoxGeoMedianRule::aggregate(const VectorList& received,
                                    AggregationWorkspace& workspace,
                                    const AggregationContext& ctx) const {
   validate(received, ctx);
-  const WeiszfeldOptions options = options_;
-  return hyperbox_aggregate(
-      received, with_workspace_pool(ctx, workspace),
-      [options](const VectorList& subset) {
-        return geometric_median_point(subset, options);
-      });
+  return hyperbox_aggregate(received, with_workspace_pool(ctx, workspace),
+                            SubsetAggregate::kGeometricMedian, options_);
 }
 
 }  // namespace bcl

@@ -13,30 +13,37 @@
 // BOX-MEAN is the centroid variant of Cambus-Melnyk: GH_i is replaced by the
 // bounding box of subset *means*.
 
-#include <functional>
-
 #include "aggregation/rule.hpp"
 #include "geometry/weiszfeld.hpp"
 #include "linalg/hyperbox.hpp"
 
 namespace bcl {
 
-/// Computes the per-subset aggregate points used by the hyperbox rules:
-/// one point per (n-t)-subset of `received`.  `subset_aggregate` maps a
-/// subset of vectors to its aggregate (mean or geometric median).  Runs
-/// subsets in parallel when ctx.pool is set.
-VectorList subset_aggregates(
-    const VectorList& received, std::size_t keep, ThreadPool* pool,
-    const std::function<Vector(const VectorList&)>& subset_aggregate);
+/// What the hyperbox rules reduce each (n - t)-subset to.
+enum class SubsetAggregate { kMean, kGeometricMedian };
+
+/// Bounding box of the per-subset aggregates of every `keep`-subset of
+/// `received` (GH_i of Definition 3.5, or its mean analogue).  Each subset
+/// is an index view of the received rows — nothing is gathered — and its
+/// point is folded into a running lo/hi box in lexicographic subset order;
+/// std::min/std::max keep the running value on ties, so the box equals
+/// Hyperbox::bounding over the list of subset points bit for bit.  With a
+/// pool, contiguous subset ranges fold into per-chunk boxes that are
+/// merged in subset order, which gives the same bits as the serial fold.
+/// `options` applies to kGeometricMedian only.
+Hyperbox subset_aggregate_box(const VectorList& received, std::size_t keep,
+                              SubsetAggregate kind,
+                              const WeiszfeldOptions& options,
+                              ThreadPool* pool);
 
 /// Shared implementation of the two hyperbox rules: output
-/// mid(trimmed_hyperbox(received) ∩ bounding_box(subset aggregates)).
+/// mid(trimmed_hyperbox(received) ∩ subset_aggregate_box(received)).
 /// Throws std::logic_error if the intersection is empty beyond numerical
 /// tolerance (Theorem 4.4 guarantees non-emptiness; a tiny per-coordinate
 /// tolerance absorbs Weiszfeld rounding).
-Vector hyperbox_aggregate(
-    const VectorList& received, const AggregationContext& ctx,
-    const std::function<Vector(const VectorList&)>& subset_aggregate);
+Vector hyperbox_aggregate(const VectorList& received,
+                          const AggregationContext& ctx, SubsetAggregate kind,
+                          const WeiszfeldOptions& options = {});
 
 /// BOX-MEAN: hyperbox rule with subset means.  The subset enumeration is
 /// not distance-based, but the workspace form still routes the subset fan

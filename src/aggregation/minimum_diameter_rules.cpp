@@ -5,20 +5,6 @@
 
 namespace bcl {
 
-namespace {
-
-// Subset rows of a batch as a standalone VectorList (for consumers like
-// Weiszfeld that iterate a point list).
-VectorList gather_rows(const GradientBatch& batch,
-                       const std::vector<std::size_t>& indices) {
-  VectorList out;
-  out.reserve(indices.size());
-  for (std::size_t i : indices) out.push_back(batch.row_copy(i));
-  return out;
-}
-
-}  // namespace
-
 Vector MinimumDiameterMeanRule::aggregate(const VectorList& received,
                                           AggregationWorkspace& workspace,
                                           const AggregationContext& ctx) const {
@@ -41,7 +27,11 @@ Vector MinimumDiameterGeoMedianRule::aggregate(
     const AggregationContext& ctx) const {
   validate(received, ctx);
   const auto md = min_diameter_subset(workspace.distances(), ctx.keep());
-  return geometric_median_point(gather(received, md.indices), options_);
+  std::vector<const double*> rows;
+  rows.reserve(md.indices.size());
+  for (std::size_t i : md.indices) rows.push_back(received[i].data());
+  return geometric_median_point(rows.data(), rows.size(), received[0].size(),
+                                options_);
 }
 
 Vector MinimumDiameterGeoMedianRule::aggregate(
@@ -50,9 +40,13 @@ Vector MinimumDiameterGeoMedianRule::aggregate(
   check_batch_workspace(batch, workspace);
   validate(batch, ctx);
   const auto md = min_diameter_subset(workspace.distances(), ctx.keep());
-  // Only the minimum-diameter subset is materialized for Weiszfeld, not the
-  // whole inbox.
-  return geometric_median_point(gather_rows(batch, md.indices), options_);
+  // Weiszfeld runs on row views of the minimum-diameter subset: nothing is
+  // copied out of the batch.
+  std::vector<const double*> rows;
+  rows.reserve(md.indices.size());
+  for (std::size_t i : md.indices) rows.push_back(batch.row(i));
+  return geometric_median_point(rows.data(), rows.size(), batch.dim(),
+                                options_);
 }
 
 }  // namespace bcl

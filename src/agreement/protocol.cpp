@@ -168,7 +168,7 @@ class AgreementNode final : public HonestProcess {
       // first node with this inbox computes it, everyone else copies.
       bool built = false;
       std::call_once(entry->once, [&] {
-        BCL_TRACE_SPAN("agreement.gram_build");
+        BCL_TRACE_SPAN("agreement.step");
         AggregationWorkspace workspace(received, ctx_.pool);
         entry->output =
             round_function_->step(received, workspace, current_, ctx_);

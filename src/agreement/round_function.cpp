@@ -2,10 +2,11 @@
 
 #include <limits>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "aggregation/registry.hpp"
 #include "geometry/min_diameter.hpp"
-#include "geometry/subsets.hpp"
 
 namespace bcl {
 
@@ -62,15 +63,22 @@ Vector sticky_step(const VectorList& received, const DistanceMatrix& dist,
                    const Vector& current, const AggregationContext& ctx,
                    const WeiszfeldOptions& options) {
   const auto tied = min_diameter_subsets(dist, ctx.keep());
+  const std::size_t dim = received.front().size();
+  std::vector<const double*> rows;
+  WeiszfeldScratch scratch;
   Vector best;
   double best_dist = std::numeric_limits<double>::infinity();
   for (const auto& candidate : tied) {
-    const Vector median =
-        geometric_median_point(gather(received, candidate.indices), options);
-    const double d = distance(median, current);
+    rows.clear();
+    for (std::size_t i : candidate.indices) rows.push_back(received[i].data());
+    const double* median =
+        geometric_median_rows(rows.data(), rows.size(), dim, options, scratch)
+            .point;
+    Vector median_vec(median, median + dim);
+    const double d = distance(median_vec, current);
     if (d < best_dist) {
       best_dist = d;
-      best = median;
+      best = std::move(median_vec);
     }
   }
   return best;

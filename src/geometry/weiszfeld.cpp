@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 
 #include "linalg/hyperbox.hpp"
@@ -17,131 +16,224 @@ double geometric_median_objective(const VectorList& points, const Vector& y) {
 
 namespace {
 
-// Returns the index of a point equal to y within `snap`, or npos.
-std::size_t coincident_index(const VectorList& points, const Vector& y,
-                             double snap) {
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (distance(points[i], y) <= snap) return i;
+// ||a - b|| as one serial sum in coordinate order — the order distance()
+// uses, which every bitwise contract on the geometric median rests on.
+double row_distance(const double* a, const double* b, std::size_t d) {
+  double s = 0.0;
+  for (std::size_t k = 0; k < d; ++k) {
+    const double diff = a[k] - b[k];
+    s += diff * diff;
   }
-  return static_cast<std::size_t>(-1);
+  return std::sqrt(s);
+}
+
+double rows_objective(const double* const* rows, std::size_t n,
+                      std::size_t d, const double* y) {
+  double s = 0.0;
+  for (std::size_t i = 0; i < n; ++i) s += row_distance(rows[i], y, d);
+  return s;
+}
+
+// Coordinate-wise ==, so -0.0 and 0.0 compare equal (the equivalence an
+// ordered map keyed on the rows would use).
+bool rows_equal(const double* a, const double* b, std::size_t d) {
+  for (std::size_t k = 0; k < d; ++k) {
+    if (a[k] != b[k]) return false;
+  }
+  return true;
+}
+
+// Majority property: a row with multiplicity > n/2 is the geometric
+// median.  Returns the first occurrence of that row, or nullptr.  Only a
+// row with more than n/2 rows from it onwards can start a majority.
+const double* majority_row(const double* const* rows, std::size_t n,
+                           std::size_t d) {
+  for (std::size_t i = 0; 2 * (n - i) > n; ++i) {
+    std::size_t count = 1;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (rows_equal(rows[i], rows[j], d)) ++count;
+    }
+    if (2 * count > n) return rows[i];
+  }
+  return nullptr;
+}
+
+// Diagonal of the rows' bounding box, folded exactly as
+// Hyperbox::bounding(...).diagonal() does; lo/hi are d-sized scratch.
+double bounding_diagonal(const double* const* rows, std::size_t n,
+                         std::size_t d, double* lo, double* hi) {
+  std::copy(rows[0], rows[0] + d, lo);
+  std::copy(rows[0], rows[0] + d, hi);
+  for (std::size_t i = 1; i < n; ++i) {
+    const double* p = rows[i];
+    for (std::size_t k = 0; k < d; ++k) {
+      lo[k] = std::min(lo[k], p[k]);
+      hi[k] = std::max(hi[k], p[k]);
+    }
+  }
+  double s = 0.0;
+  for (std::size_t k = 0; k < d; ++k) {
+    const double e = hi[k] - lo[k];
+    s += e * e;
+  }
+  return std::sqrt(s);
+}
+
+// Writes `next` over y coordinate by coordinate and returns ||next - y||.
+template <typename Next>
+double advance(double* y, std::size_t d, Next next) {
+  double s = 0.0;
+  for (std::size_t k = 0; k < d; ++k) {
+    const double v = next(k);
+    const double diff = v - y[k];
+    s += diff * diff;
+    y[k] = v;
+  }
+  return std::sqrt(s);
+}
+
+}  // namespace
+
+WeiszfeldRowsResult geometric_median_rows(const double* const* rows,
+                                          std::size_t n, std::size_t d,
+                                          const WeiszfeldOptions& options,
+                                          WeiszfeldScratch& scratch,
+                                          bool with_objective) {
+  if (n == 0) {
+    throw std::invalid_argument("geometric_median: empty point list");
+  }
+  WeiszfeldRowsResult result;
+  result.converged = true;
+  const auto answer = [&](const double* point) {
+    result.point = point;
+    if (with_objective) result.objective = rows_objective(rows, n, d, point);
+    return result;
+  };
+  // One point, or (below) all points equal: the answer is the first row
+  // and the objective is left at 0.
+  result.point = rows[0];
+  if (n == 1) return result;
+
+  scratch.y.resize(d);
+  scratch.numerator.resize(d);
+  double* y = scratch.y.data();
+  double* numerator = scratch.numerator.data();
+  if (n == 2) {
+    for (std::size_t k = 0; k < d; ++k) y[k] = 0.5 * (rows[0][k] + rows[1][k]);
+    return answer(y);
+  }
+  if (const double* majority = majority_row(rows, n, d)) {
+    return answer(majority);
+  }
+  const double spread = bounding_diagonal(rows, n, d, y, numerator);
+  if (spread == 0.0) return result;
+  const double step_tol = options.tolerance * (1.0 + spread);
+  const double snap = 1e-14 * (1.0 + spread);
+
+  // Start from the centroid, the standard initial iterate.
+  std::fill(y, y + d, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t k = 0; k < d; ++k) y[k] += rows[i][k];
+  }
+  const double inv_n = 1.0 / static_cast<double>(n);
+  for (std::size_t k = 0; k < d; ++k) y[k] *= inv_n;
+
+  scratch.distances.resize(n);
+  double* dist = scratch.distances.data();
+  for (std::size_t it = 0; it < options.max_iterations; ++it) {
+    result.iterations = it + 1;
+    // The one distance pass: rows within `snap` of y anchor the iterate;
+    // every other row carries Weiszfeld weight 1 / dist.
+    std::size_t anchor_multiplicity = 0;
+    double denominator = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      dist[i] = row_distance(rows[i], y, d);
+      if (dist[i] <= snap) {
+        ++anchor_multiplicity;
+      } else {
+        denominator += 1.0 / dist[i];
+      }
+    }
+    double step = 0.0;
+    if (anchor_multiplicity == 0) {
+      std::fill(numerator, numerator + d, 0.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double w = 1.0 / dist[i];
+        const double* p = rows[i];
+        for (std::size_t k = 0; k < d; ++k) numerator[k] += w * p[k];
+      }
+      const double inv = 1.0 / denominator;
+      step = advance(y, d, [&](std::size_t k) { return inv * numerator[k]; });
+    } else {
+      // Kuhn's optimality test at an input point: y is the geometric median
+      // iff ||pull|| <= multiplicity of the anchor, where pull sums the unit
+      // directions from y to the other points.
+      scratch.pull.assign(d, 0.0);
+      double* pull = scratch.pull.data();
+      for (std::size_t i = 0; i < n; ++i) {
+        if (dist[i] <= snap) continue;
+        const double w = 1.0 / dist[i];
+        const double* p = rows[i];
+        for (std::size_t k = 0; k < d; ++k) pull[k] += (p[k] - y[k]) * w;
+      }
+      double pull_sq = 0.0;
+      for (std::size_t k = 0; k < d; ++k) pull_sq += pull[k] * pull[k];
+      const double pull_norm = std::sqrt(pull_sq);
+      const double multiplicity = static_cast<double>(anchor_multiplicity);
+      if (pull_norm <= multiplicity + 1e-12) return answer(y);
+      // Otherwise push y off the anchor along the pull direction by the
+      // standard Kuhn step: move by (||pull|| - mult)/denominator.
+      const double move = (pull_norm - multiplicity) / denominator;
+      const double alpha = move / pull_norm;
+      step = advance(y, d,
+                     [&](std::size_t k) { return y[k] + alpha * pull[k]; });
+    }
+    if (step <= step_tol) return answer(y);
+  }
+  result.converged = false;
+  return answer(y);
+}
+
+namespace {
+
+WeiszfeldResult solve(const VectorList& points,
+                      const WeiszfeldOptions& options, bool with_objective) {
+  if (points.empty()) {
+    throw std::invalid_argument("geometric_median: empty point list");
+  }
+  const std::size_t d = check_same_dimension(points);
+  std::vector<const double*> rows;
+  rows.reserve(points.size());
+  for (const auto& p : points) rows.push_back(p.data());
+  WeiszfeldScratch scratch;
+  const WeiszfeldRowsResult view = geometric_median_rows(
+      rows.data(), rows.size(), d, options, scratch, with_objective);
+  WeiszfeldResult result;
+  result.point.assign(view.point, view.point + d);
+  result.iterations = view.iterations;
+  result.converged = view.converged;
+  result.objective = view.objective;
+  return result;
 }
 
 }  // namespace
 
 WeiszfeldResult geometric_median(const VectorList& points,
                                  const WeiszfeldOptions& options) {
-  if (points.empty()) {
-    throw std::invalid_argument("geometric_median: empty point list");
-  }
-  const std::size_t d = check_same_dimension(points);
-  const std::size_t n = points.size();
-  WeiszfeldResult result;
-
-  if (n == 1) {
-    result.point = points.front();
-    result.converged = true;
-    return result;
-  }
-  if (n == 2) {
-    result.point = scale(add(points[0], points[1]), 0.5);
-    result.converged = true;
-    result.objective = geometric_median_objective(points, result.point);
-    return result;
-  }
-
-  // Majority property: if some point has multiplicity > n/2 it is the
-  // geometric median.
-  {
-    std::map<Vector, std::size_t> counts;
-    for (const auto& p : points) ++counts[p];
-    for (const auto& [p, c] : counts) {
-      if (2 * c > n) {
-        result.point = p;
-        result.converged = true;
-        result.objective = geometric_median_objective(points, p);
-        return result;
-      }
-    }
-  }
-
-  const double spread = Hyperbox::bounding(points).diagonal();
-  if (spread == 0.0) {
-    // All points identical (not caught above only if n is even and split
-    // impossible; defensive).
-    result.point = points.front();
-    result.converged = true;
-    return result;
-  }
-  const double step_tol = options.tolerance * (1.0 + spread);
-  const double snap = 1e-14 * (1.0 + spread);
-
-  // Start from the centroid, the standard initial iterate.
-  Vector y = mean(points);
-  for (std::size_t it = 0; it < options.max_iterations; ++it) {
-    result.iterations = it + 1;
-    Vector numerator = zeros(d);
-    double denominator = 0.0;
-    std::size_t anchor = coincident_index(points, y, snap);
-    std::size_t anchor_multiplicity = 0;
-    Vector pull = zeros(d);  // summed unit directions from y to other points
-    for (std::size_t i = 0; i < n; ++i) {
-      const double dist_i = distance(points[i], y);
-      if (dist_i <= snap) {
-        ++anchor_multiplicity;
-        continue;
-      }
-      const double w = 1.0 / dist_i;
-      axpy(numerator, w, points[i]);
-      denominator += w;
-      for (std::size_t k = 0; k < d; ++k) {
-        pull[k] += (points[i][k] - y[k]) * w;
-      }
-    }
-    if (anchor != static_cast<std::size_t>(-1)) {
-      // Kuhn's optimality test at an input point: y is the geometric median
-      // iff ||pull|| <= multiplicity of the anchor.
-      const double pull_norm = norm2(pull);
-      if (pull_norm <= static_cast<double>(anchor_multiplicity) + 1e-12) {
-        result.point = y;
-        result.converged = true;
-        result.objective = geometric_median_objective(points, y);
-        return result;
-      }
-      // Otherwise push y off the anchor along the pull direction by the
-      // standard Kuhn step: move by (||pull|| - mult)/denominator.
-      const double move =
-          (pull_norm - static_cast<double>(anchor_multiplicity)) / denominator;
-      Vector next = y;
-      axpy(next, move / pull_norm, pull);
-      const double step = distance(next, y);
-      y = std::move(next);
-      if (step <= step_tol) {
-        result.point = y;
-        result.converged = true;
-        result.objective = geometric_median_objective(points, y);
-        return result;
-      }
-      continue;
-    }
-    Vector next = scale(numerator, 1.0 / denominator);
-    const double step = distance(next, y);
-    y = std::move(next);
-    if (step <= step_tol) {
-      result.point = y;
-      result.converged = true;
-      result.objective = geometric_median_objective(points, y);
-      return result;
-    }
-  }
-  result.point = y;
-  result.converged = false;
-  result.objective = geometric_median_objective(points, y);
-  return result;
+  return solve(points, options, /*with_objective=*/true);
 }
 
 Vector geometric_median_point(const VectorList& points,
                               const WeiszfeldOptions& options) {
-  return geometric_median(points, options).point;
+  return solve(points, options, /*with_objective=*/false).point;
+}
+
+Vector geometric_median_point(const double* const* rows, std::size_t n,
+                              std::size_t d, const WeiszfeldOptions& options) {
+  WeiszfeldScratch scratch;
+  const double* point =
+      geometric_median_rows(rows, n, d, options, scratch).point;
+  return Vector(point, point + d);
 }
 
 WeiszfeldResult smoothed_geometric_median(const VectorList& points,

@@ -11,6 +11,7 @@
 // that direction.
 
 #include <cstddef>
+#include <vector>
 
 #include "linalg/vector_ops.hpp"
 
@@ -33,6 +34,43 @@ struct WeiszfeldResult {
   double objective = 0.0;
 };
 
+/// Reusable buffers of the row-view kernel: the iterate, the Weiszfeld
+/// numerator, Kuhn's pull (sized only once an iterate lands on an input
+/// point) and one distance per row.  The buffers only grow, so one scratch
+/// per thread serves any number of solves — BOX-GEOM runs every subset of
+/// an inbox through one.  Their contents are the kernel's business.
+struct WeiszfeldScratch {
+  Vector y;
+  Vector numerator;
+  Vector pull;
+  std::vector<double> distances;
+};
+
+/// Outcome of a row-view solve.  `point` addresses d doubles: one of the
+/// input rows (one point, a majority, all rows equal) or the scratch's
+/// iterate, so it stays valid only until the scratch is used again and
+/// while the rows live.
+struct WeiszfeldRowsResult {
+  const double* point = nullptr;
+  std::size_t iterations = 0;
+  bool converged = false;
+  /// sum_i ||v_i - point||; computed only when requested.
+  double objective = 0.0;
+};
+
+/// The geometric-median kernel behind every GEOM rule: Weiszfeld with
+/// Kuhn's anchor test over n borrowed rows of d doubles (rows[i] points at
+/// row i), allocation-free once `scratch` has grown to (n, d).  Each
+/// iteration computes every ||v_i - y|| once, each as one serial sum in
+/// coordinate order; the result is bitwise identical to the VectorList
+/// form below (which calls it).  `with_objective` adds one distance pass
+/// for the objective.  Throws std::invalid_argument when n == 0.
+WeiszfeldRowsResult geometric_median_rows(const double* const* rows,
+                                          std::size_t n, std::size_t d,
+                                          const WeiszfeldOptions& options,
+                                          WeiszfeldScratch& scratch,
+                                          bool with_objective = false);
+
 /// Computes the geometric median of a non-empty list.  For one point the
 /// answer is the point; for two points the midpoint (every point on the
 /// segment is a minimizer; the midpoint is the canonical symmetric choice).
@@ -41,6 +79,12 @@ WeiszfeldResult geometric_median(const VectorList& points,
 
 /// Convenience wrapper returning only the median vector.
 Vector geometric_median_point(const VectorList& points,
+                              const WeiszfeldOptions& options = {});
+
+/// The median vector of n borrowed rows of d doubles (a subset of an
+/// inbox or batch, without copying it out).
+Vector geometric_median_point(const double* const* rows, std::size_t n,
+                              std::size_t d,
                               const WeiszfeldOptions& options = {});
 
 /// The Fermat objective sum_i ||v_i - y||.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "aggregation/hyperbox_rules.hpp"
 #include "aggregation/krum.hpp"
@@ -293,18 +294,51 @@ TEST(BoxMean, MatchesManualConstructionOneDim) {
   EXPECT_NEAR(out[0], 1.5, 1e-12);
 }
 
-TEST(BoxRules, SubsetAggregatesMatchSerialAndParallel) {
+bool same_bits(const Vector& a, const Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(BoxRules, SubsetBoxesMatchSerialAndPooled) {
+  // Two 9-row inboxes at keep = 7 (36 subsets, four chunks of nine on a
+  // 3-worker pool): random rows, and one whose rows 2..7 are equal up to
+  // the sign of their zeros.  Every 7-subset of the second holds a
+  // majority of those rows, so each subset median is the subset's first
+  // such row and the subset points tie at +0.0 / -0.0.  std::min/std::max
+  // keep their first operand, so the box depends on the fold order: the
+  // first subset's median is row 2 (+0.0 first), while the last two chunks
+  // start from row 3 (-0.0 first), and the pooled merge must reproduce the
+  // serial subset order bit for bit.
   Rng rng(10);
-  const VectorList pts = random_points(rng, 9, 5);
-  ThreadPool pool(3);
-  const auto serial = subset_aggregates(
-      pts, 7, nullptr, [](const VectorList& s) { return mean(s); });
-  const auto parallel = subset_aggregates(
-      pts, 7, &pool, [](const VectorList& s) { return mean(s); });
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_TRUE(approx_equal(serial[i], parallel[i], 0.0));
+  const VectorList random_rows = random_points(rng, 9, 5);
+  VectorList signed_zeros = random_points(rng, 9, 5);
+  for (std::size_t i = 2; i < 8; ++i) {
+    signed_zeros[i] = {i % 2 == 0 ? 0.0 : -0.0, i % 2 == 0 ? -0.0 : 0.0,
+                       1.5, -2.0, 0.25};
   }
+  ThreadPool pool(3);
+  for (const VectorList& pts : {random_rows, signed_zeros}) {
+    for (const SubsetAggregate kind :
+         {SubsetAggregate::kMean, SubsetAggregate::kGeometricMedian}) {
+      const Hyperbox serial = subset_aggregate_box(pts, 7, kind, {}, nullptr);
+      const Hyperbox pooled = subset_aggregate_box(pts, 7, kind, {}, &pool);
+      EXPECT_TRUE(same_bits(serial.lo(), pooled.lo()));
+      EXPECT_TRUE(same_bits(serial.hi(), pooled.hi()));
+    }
+    for (const std::string name : {"BOX-MEAN", "BOX-GEOM"}) {
+      const auto rule = make_rule(name);
+      AggregationContext ctx = ctx_of(9, 2);
+      const Vector serial = rule->aggregate(pts, ctx);
+      ctx.pool = &pool;
+      EXPECT_TRUE(same_bits(serial, rule->aggregate(pts, ctx))) << name;
+    }
+  }
+  // The tie case really exercises the order: the serial GEOM box keeps
+  // row 2's zeros although later subsets contribute the opposite signs.
+  const Hyperbox box = subset_aggregate_box(
+      signed_zeros, 7, SubsetAggregate::kGeometricMedian, {}, nullptr);
+  EXPECT_FALSE(std::signbit(box.lo()[0]));
+  EXPECT_TRUE(std::signbit(box.lo()[1]));
 }
 
 TEST(BoxRules, IntersectionNonEmptyUnderAdversarialInputs) {

@@ -5,8 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <tuple>
 
+#include "aggregation/registry.hpp"
+#include "agreement/round_function.hpp"
 #include "geometry/convex2d.hpp"
 #include "geometry/enclosing_ball.hpp"
 #include "geometry/medoid.hpp"
@@ -14,7 +19,11 @@
 #include "geometry/safe_area.hpp"
 #include "geometry/subsets.hpp"
 #include "geometry/weiszfeld.hpp"
+#include "linalg/gradient_batch.hpp"
 #include "linalg/hyperbox.hpp"
+#include "linalg/stats.hpp"
+#include "linalg/workspace.hpp"
+#include "support/weiszfeld_reference.hpp"
 #include "util/rng.hpp"
 
 namespace bcl {
@@ -167,6 +176,186 @@ TEST(Weiszfeld, HighDimensionalCross) {
   }
   const auto r = geometric_median(pts);
   EXPECT_TRUE(approx_equal(r.point, zeros(d), 1e-7));
+}
+
+// --- bitwise oracle: the row-view kernel against the reference solver ---
+
+bool same_bits(const Vector& a, const Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// point, iterations, converged and objective must all carry the
+// reference's bits; geometric_median_point must return the same point.
+void expect_matches_reference(const VectorList& pts,
+                              const WeiszfeldOptions& options = {}) {
+  const WeiszfeldResult ref = reference::geometric_median(pts, options);
+  const WeiszfeldResult got = geometric_median(pts, options);
+  EXPECT_TRUE(same_bits(got.point, ref.point));
+  EXPECT_EQ(got.iterations, ref.iterations);
+  EXPECT_EQ(got.converged, ref.converged);
+  EXPECT_TRUE(same_bits(got.objective, ref.objective))
+      << got.objective << " vs " << ref.objective;
+  EXPECT_TRUE(same_bits(geometric_median_point(pts, options), ref.point));
+}
+
+VectorList random_rows(Rng& rng, std::size_t k, std::size_t d,
+                       double offset = 0.0) {
+  VectorList pts(k, Vector(d));
+  for (auto& p : pts) {
+    for (auto& x : p) x = offset + rng.uniform(-3.0, 3.0);
+  }
+  return pts;
+}
+
+TEST(WeiszfeldOracle, RandomInputsMatchBitwise) {
+  Rng rng(41);
+  for (const std::size_t k : {1u, 2u, 3u, 8u, 9u, 10u}) {
+    for (int trial = 0; trial < 5; ++trial) {
+      SCOPED_TRACE(testing::Message() << "k=" << k << " trial=" << trial);
+      expect_matches_reference(random_rows(rng, k, 7));
+    }
+  }
+}
+
+TEST(WeiszfeldOracle, PaperShapeMatchesBitwise) {
+  // One BOX-GEOM subset at the MLP's dimension: k = n - t = 9, d = 1842.
+  Rng rng(42);
+  expect_matches_reference(random_rows(rng, 9, 1842));
+}
+
+TEST(WeiszfeldOracle, DuplicateRowsMatchBitwise) {
+  // Majority of three among five; the copies differ in the sign of a zero,
+  // so the answer must be the first-seen copy, bit for bit.
+  const VectorList majority{{1.0, 2.0}, {0.0, 5.0}, {-0.0, 5.0},
+                            {0.0, 5.0}, {9.0, -1.0}};
+  expect_matches_reference(majority);
+  EXPECT_FALSE(std::signbit(geometric_median(majority).point[0]));
+  const VectorList later_first{{-0.0, 5.0}, {1.0, 2.0}, {0.0, 5.0},
+                               {0.0, 5.0}};
+  expect_matches_reference(later_first);
+  EXPECT_TRUE(std::signbit(geometric_median(later_first).point[0]));
+  // Three copies among six is no majority: Weiszfeld runs.
+  expect_matches_reference({{0.0, 5.0}, {0.0, 5.0}, {0.0, 5.0},
+                            {1.0, 2.0}, {4.0, 4.0}, {-3.0, 1.0}});
+  // Two duplicate pairs, no majority.
+  expect_matches_reference({{1.0, 1.0}, {1.0, 1.0}, {2.0, -1.0},
+                            {2.0, -1.0}, {0.0, 3.0}});
+}
+
+TEST(WeiszfeldOracle, IterateOnInputPointMatchesBitwise) {
+  // The centroid is exactly row 0 in both inputs.  Stop: the unit
+  // directions to the other rows cancel, Kuhn's test accepts row 0.
+  const VectorList stop{{0.0, 0.0}, {1.0, 0.0}, {-1.0, 0.0}, {0.0, 1.0},
+                        {0.0, -1.0}};
+  expect_matches_reference(stop);
+  EXPECT_EQ(geometric_median(stop).iterations, 1u);
+  // Push-off: the pull towards the three rows at x = -1 exceeds the
+  // anchor's multiplicity, so the iterate leaves row 0 and continues.
+  const VectorList push{{0.0, 0.0}, {3.0, 0.0}, {-1.0, 0.0}, {-1.0, 0.1},
+                        {-1.0, -0.1}};
+  expect_matches_reference(push);
+  EXPECT_GT(geometric_median(push).iterations, 1u);
+}
+
+TEST(WeiszfeldOracle, IdenticalRowsMatchBitwise) {
+  for (const std::size_t k : {2u, 3u, 4u, 9u}) {
+    expect_matches_reference(VectorList(k, Vector{1.5, -0.0, 3.0}));
+  }
+}
+
+TEST(WeiszfeldOracle, LargeCommonOffsetMatchesBitwise) {
+  Rng rng(43);
+  expect_matches_reference(random_rows(rng, 9, 16, 1e8));
+}
+
+TEST(WeiszfeldOracle, IterationCapMatchesBitwise) {
+  Rng rng(44);
+  WeiszfeldOptions options;
+  options.max_iterations = 3;
+  const VectorList pts = random_rows(rng, 8, 12);
+  expect_matches_reference(pts, options);
+  EXPECT_FALSE(geometric_median(pts, options).converged);
+}
+
+// The three GEOM rules against the same construction on the oracle.
+VectorList inbox_with_outliers(Rng& rng, std::size_t n, std::size_t t,
+                               std::size_t d) {
+  VectorList pts = random_rows(rng, n - t, d);
+  for (std::size_t i = 0; i < t; ++i) pts.push_back(constant(d, 40.0 + i));
+  return pts;
+}
+
+AggregationContext context_of(std::size_t n, std::size_t t) {
+  AggregationContext ctx;
+  ctx.n = n;
+  ctx.t = t;
+  return ctx;
+}
+
+TEST(WeiszfeldOracle, GeoMedianRulesMatchOracleComposition) {
+  Rng rng(45);
+  for (const auto& [n, t, d] :
+       {std::tuple<std::size_t, std::size_t, std::size_t>{7, 2, 5},
+        {10, 1, 64},
+        {10, 2, 1842}}) {
+    SCOPED_TRACE(testing::Message() << "n=" << n << " t=" << t);
+    const VectorList pts = inbox_with_outliers(rng, n, t, d);
+    const AggregationContext ctx = context_of(n, t);
+    const std::size_t keep = ctx.keep();
+
+    EXPECT_TRUE(same_bits(make_rule("GEOMED")->aggregate(pts, ctx),
+                          reference::geometric_median_point(pts)));
+
+    AggregationWorkspace workspace(pts);
+    const auto md = min_diameter_subset(workspace.distances(), keep);
+    const Vector md_expected =
+        reference::geometric_median_point(gather(pts, md.indices));
+    const auto md_rule = make_rule("MD-GEOM");
+    EXPECT_TRUE(same_bits(md_rule->aggregate(pts, ctx), md_expected));
+    const GradientBatch batch = GradientBatch::from(pts);
+    AggregationWorkspace batch_workspace(batch);
+    EXPECT_TRUE(same_bits(md_rule->aggregate(batch, batch_workspace, ctx),
+                          md_expected));
+
+    VectorList medians;
+    for_each_combination(n, keep, [&](const std::vector<std::size_t>& idx) {
+      medians.push_back(reference::geometric_median_point(gather(pts, idx)));
+    });
+    const auto box = Hyperbox::intersect(trimmed_hyperbox(pts, keep),
+                                         Hyperbox::bounding(medians));
+    ASSERT_TRUE(box.has_value());
+    EXPECT_TRUE(same_bits(make_rule("BOX-GEOM")->aggregate(pts, ctx),
+                          box->midpoint()));
+  }
+}
+
+TEST(WeiszfeldOracle, StickyRoundMatchesOracleComposition) {
+  // Two tied minimum-diameter subsets (a symmetric inbox): the sticky
+  // round keeps the median closest to the node's current vector.
+  const VectorList pts{{0.0, 0.0}, {1.0, 0.0}, {2.0, 0.0}, {0.0, 1.0},
+                       {1.0, 1.0}, {2.0, 1.0}};
+  const AggregationContext ctx = context_of(6, 3);
+  const Vector current{1.0, 0.9};
+  AggregationWorkspace workspace(pts);
+  const auto tied = min_diameter_subsets(workspace.distances(), ctx.keep());
+  ASSERT_GT(tied.size(), 1u);
+  Vector expected;
+  double best = std::numeric_limits<double>::infinity();
+  for (const auto& candidate : tied) {
+    const Vector median =
+        reference::geometric_median_point(gather(pts, candidate.indices));
+    if (distance(median, current) < best) {
+      best = distance(median, current);
+      expected = median;
+    }
+  }
+  StickyMinDiameterGeoRound round;
+  EXPECT_TRUE(same_bits(round.step(pts, current, ctx), expected));
 }
 
 // --- medoid ---

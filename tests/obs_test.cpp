@@ -389,6 +389,34 @@ TEST(TraceAttributionTest, AttackSpanWrapsOnlyTheCorruption) {
   EXPECT_EQ(aggregate_spans, spec.rounds);
 }
 
+// Under sub-round sharing a BOX-GEOM sub-round runs the whole round
+// function once per distinct inbox — the subset medians, no Gram build — so
+// that work is an `agreement.step` span; `agreement.gram_build` is left to
+// the distance-only build of current-dependent round functions.
+TEST(TraceAttributionTest, SharedBoxGeomStepIsNotAGramBuild) {
+  ScenarioSpec spec = small_spec("spans");
+  spec.rule = "BOX-GEOM";
+  spec.clients = 7;
+  spec.rounds = 2;
+  spec.topology = experiments::Topology::Decentralized;
+  ScenarioRunner runner;
+  const ScenarioSummary summary = runner.run(spec);
+  ASSERT_TRUE(summary.error.empty()) << summary.error;
+  std::size_t gram_build_spans = 0;
+  std::size_t step_spans = 0;
+  for (const obs::TraceRecord& record : summary.trace) {
+    if (record.phase != 'B') continue;
+    const std::string name = record.name;
+    if (name == "agreement.gram_build") ++gram_build_spans;
+    if (name == "agreement.step") ++step_spans;
+  }
+  EXPECT_EQ(gram_build_spans, 0u);
+  const std::uint64_t builds =
+      summary.metrics.counter_or("agreement.gram_builds");
+  EXPECT_GT(builds, 0u);
+  EXPECT_EQ(step_spans, builds);
+}
+
 TEST(TraceEmitterTest, WritesPerCellTraceFiles) {
   const std::string dir = testing::TempDir() + "bcl_obs_traces";
   experiments::TraceEmitter emitter(dir, false);
