@@ -1,42 +1,43 @@
 // bcl_run: the scenario CLI.  Executes any single scenario or a
 // cross-product sweep over rules x attacks x f x heterogeneity x topology
 // x network x codec, streaming metrics to the console and optional
-// CSV/JSON artifacts.
-//
-//   # registries
-//   ./bcl_run --list
-//
-//   # one scenario, full key=value grammar (docs/scenarios.md)
-//   ./bcl_run --scenario "topology=decentralized rule=BOX-GEOM \
-//       attack=sign-flip:scale=2 f=2 rounds=30"
-//
-//   # sweep: every combination of the comma-separated axes
-//   ./bcl_run --rules KRUM,BOX-GEOM --attacks sign-flip,alie,mimic \
-//       --fs 1,2 --hets mild,extreme --rounds 40 --json sweep.json
-//
-//   # network-timing sweep (NetConfig grammar values contain commas, so
-//   # the --nets axis is ';'-separated), four cells in parallel
-//   ./bcl_run --rules BOX-GEOM --jobs 4 \
-//       --nets "sync;async:delay=exp,mean=5,drop=0.05,timeout=50"
-//
-//   # compression sweep under a bandwidth cap (--comps is ';'-separated
-//   # like --nets, since codec grammar values may contain commas)
-//   ./bcl_run --rules BOX-GEOM --comps "identity;topk:frac=0.01" \
-//       --net "async:delay=const,mean=1,bw=1e6"
-//
-//   # print the expanded grid (one spec per line) without running a cell
-//   ./bcl_run --rules KRUM,BOX-GEOM --fs 1,2 --dry-run
-//
-//   # fault-injection sweep (FaultConfig grammar values contain commas,
-//   # so --faults is ';'-separated like --nets/--comps); bounded-staleness
-//   # server with tau=2
-//   ./bcl_run --rules BOX-GEOM --stale 2 \
-//       --faults "none;churn:leave=0.2,join=0.5,cap=0.3"
-//
-//   # streaming cohort subsampling + sharded aggregation at scale
-//   ./bcl_run --scenario "n=100000 f=1000 rule=CW-MEDIAN \
-//       cohort=0.01,shards=16 rounds=5"
-//
+// CSV/JSON artifacts.  Examples (shell lines, continued with a backslash,
+// kept in a block comment so the backslashes stay literal):
+/*
+  # registries
+  ./bcl_run --list
+
+  # one scenario, full key=value grammar (docs/scenarios.md)
+  ./bcl_run --scenario "topology=decentralized rule=BOX-GEOM \
+      attack=sign-flip:scale=2 f=2 rounds=30"
+
+  # sweep: every combination of the comma-separated axes
+  ./bcl_run --rules KRUM,BOX-GEOM --attacks sign-flip,alie,mimic \
+      --fs 1,2 --hets mild,extreme --rounds 40 --json sweep.json
+
+  # network-timing sweep (NetConfig grammar values contain commas, so
+  # the --nets axis is ';'-separated), four cells in parallel
+  ./bcl_run --rules BOX-GEOM --jobs 4 \
+      --nets "sync;async:delay=exp,mean=5,drop=0.05,timeout=50"
+
+  # compression sweep under a bandwidth cap (--comps is ';'-separated
+  # like --nets, since codec grammar values may contain commas)
+  ./bcl_run --rules BOX-GEOM --comps "identity;topk:frac=0.01" \
+      --net "async:delay=const,mean=1,bw=1e6"
+
+  # print the expanded grid (one spec per line) without running a cell
+  ./bcl_run --rules KRUM,BOX-GEOM --fs 1,2 --dry-run
+
+  # fault-injection sweep (FaultConfig grammar values contain commas,
+  # so --faults is ';'-separated like --nets/--comps); bounded-staleness
+  # server with tau=2
+  ./bcl_run --rules BOX-GEOM --stale 2 \
+      --faults "none;churn:leave=0.2,join=0.5,cap=0.3"
+
+  # streaming cohort subsampling + sharded aggregation at scale
+  ./bcl_run --scenario "n=100000 f=1000 rule=CW-MEDIAN \
+      cohort=0.01,shards=16 rounds=5"
+*/
 // Sweep axes: --rules, --attacks, --topologies, --hets, --fs, --nets,
 // --comps, --faults.  Shared scalar overrides: --n, --t, --model, --full,
 // --rounds, --batch, --lr, --subrounds, --delay, --net, --comp, --stale,

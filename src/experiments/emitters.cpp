@@ -98,6 +98,20 @@ void ConsoleEmitter::finish() {
 
 // --- CSV -------------------------------------------------------------------
 
+namespace {
+// Creates (or truncates) `path` and closes it again, so an unwritable
+// artifact path fails when the emitter is built, before any cell runs,
+// instead of after the whole sweep.
+void probe_writable(const std::string& path, const char* who) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    throw std::runtime_error(std::string(who) + ": cannot open '" + path +
+                             "'");
+  }
+  std::fclose(f);
+}
+}  // namespace
+
 CsvEmitter::CsvEmitter(std::string base_path)
     : base_path_(std::move(base_path)),
       series_({"scenario", "round", "accuracy", "accuracy_min",
@@ -111,7 +125,10 @@ CsvEmitter::CsvEmitter(std::string base_path)
                 "stale_accepted", "stale_rejected", "gram_builds",
                 "shared_hits", "sketch_certified", "sketch_fallbacks",
                 "seconds", "sim_seconds", "bytes", "compression_ratio",
-                "error"}) {}
+                "error"}) {
+  probe_writable(base_path_ + "_series.csv", "CsvEmitter");
+  probe_writable(base_path_ + "_summary.csv", "CsvEmitter");
+}
 
 void CsvEmitter::emit_round(const ScenarioSpec& spec,
                             const RoundMetrics& m) {
@@ -180,7 +197,9 @@ void CsvEmitter::finish() {
 
 // --- JSON ------------------------------------------------------------------
 
-JsonEmitter::JsonEmitter(std::string path) : path_(std::move(path)) {}
+JsonEmitter::JsonEmitter(std::string path) : path_(std::move(path)) {
+  probe_writable(path_, "JsonEmitter");
+}
 
 void JsonEmitter::begin_scenario(const ScenarioSpec& spec) {
   entries_.emplace_back();

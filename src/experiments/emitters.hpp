@@ -64,7 +64,9 @@ class ConsoleEmitter final : public MetricsEmitter {
 };
 
 /// CSV artifacts: <base>_series.csv (every round of every scenario) and
-/// <base>_summary.csv (one row per scenario), written on finish().
+/// <base>_summary.csv (one row per scenario), written on finish().  Both
+/// files are created at construction, which throws std::runtime_error
+/// when either path is not writable.
 class CsvEmitter final : public MetricsEmitter {
  public:
   explicit CsvEmitter(std::string base_path);
@@ -85,6 +87,8 @@ class CsvEmitter final : public MetricsEmitter {
 /// micro-bench records, uploaded by CI next to them.
 class JsonEmitter final : public MetricsEmitter {
  public:
+  /// Creates the file, so a bad path throws std::runtime_error here,
+  /// before any scenario runs.
   explicit JsonEmitter(std::string path);
   void begin_scenario(const ScenarioSpec& spec) override;
   void emit_round(const ScenarioSpec& spec,

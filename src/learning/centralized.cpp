@@ -19,7 +19,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace bcl {
 
@@ -83,48 +82,10 @@ TrainingResult CentralizedTrainer::run() {
   const std::size_t honest_n = n - f;  // Byzantine ids are the last f
   Rng root(config_.seed);
 
-  // Setup.  Per-client state is the shard index list and an RNG stream;
-  // gradients are computed by one scratch model per worker lane, so no
-  // client owns a model replica.
-  Rng partition_rng = root.split(1);
-  const auto shards =
-      ml::partition_dataset(*train_, n, config_.heterogeneity, partition_rng);
-  // Data-poisoning attacks (label-flip) corrupt the Byzantine shards at
-  // setup: those clients then train honestly on a poisoned copy of the
-  // training set, so their "own gradient" is already attacked.
-  ml::Dataset poisoned_train;
-  const ml::Dataset* byz_train = poison_byzantine_shards(
-      *config_.attack, *train_, shards, f, poisoned_train);
-  std::vector<Rng> client_rngs;
-  client_rngs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    client_rngs.push_back(root.split(100 + i));
-  }
-  // Beyond the dataset size the partition leaves shards empty; those
-  // clients sample the whole training set instead.
-  std::vector<std::size_t> whole_set;
-  if (std::any_of(shards.begin(), shards.end(),
-                  [](const auto& shard) { return shard.empty(); })) {
-    whole_set.resize(train_->size());
-    std::iota(whole_set.begin(), whole_set.end(), std::size_t{0});
-  }
-  const auto shard_of = [&](std::size_t i) -> const std::vector<std::size_t>& {
-    return shards[i].empty() ? whole_set : shards[i];
-  };
-  // The gradient arithmetic fully overwrites model state, so lane identity
-  // never affects the numbers (see stochastic_gradient_with).
-  const std::size_t lanes =
-      config_.pool != nullptr ? config_.pool->size() + 1 : 1;
-  std::vector<ml::Model> lane_models;
-  lane_models.reserve(lanes);
-  for (std::size_t l = 0; l < lanes; ++l) lane_models.push_back(factory_());
-
-  ml::Model server_model = factory_();
-  Rng init_rng = root.split(2);
-  server_model.initialize(init_rng);
-  global_params_ = server_model.parameters();
+  ClientLanes clients(config_, factory_, *train_, root);
+  global_params_ = clients.initial_parameters(root);
   Rng attack_rng = root.split(3);
-  const std::size_t dim = server_model.parameter_count();
+  const std::size_t dim = global_params_.size();
 
   // Simulated star network (async NetConfig only): the server waits for
   // the quorum-th upload, then broadcasts back.
@@ -247,30 +208,13 @@ TrainingResult CentralizedTrainer::run() {
       started[s] = fresh ? &inbox[r] : &in_flight[starters[s]];
       targets[s] = fresh ? batch.row(r) : started[s]->grad.data();
     }
-    const auto compute = [&](ml::Model& scratch, std::size_t s) {
-      const std::size_t i = starters[s];
-      started[s]->wire = dense_wire_bytes(dim);
-      started[s]->loss = stochastic_gradient_with(
-          scratch, i < honest_n ? *train_ : *byz_train, shard_of(i),
-          config_.batch_size, client_rngs[i], global_params_, targets[s]);
-    };
     {
       BCL_TRACE_SPAN("grad.compute");
-      if (config_.pool != nullptr && starters.size() > 1) {
-        // Contiguous chunks per lane, so a lane's scratch model is touched
-        // by exactly one worker.
-        const std::size_t chunk = (starters.size() + lanes - 1) / lanes;
-        config_.pool->parallel_for(0, lanes, [&](std::size_t l) {
-          const std::size_t end = std::min(starters.size(), (l + 1) * chunk);
-          for (std::size_t s = l * chunk; s < end; ++s) {
-            compute(lane_models[l], s);
-          }
-        });
-      } else {
-        for (std::size_t s = 0; s < starters.size(); ++s) {
-          compute(lane_models[0], s);
-        }
-      }
+      clients.for_each(starters.size(), [&](ml::Model& lane, std::size_t s) {
+        started[s]->wire = dense_wire_bytes(dim);
+        started[s]->loss =
+            clients.gradient(lane, starters[s], global_params_, targets[s]);
+      });
     }
     // EF-compress the honest uploads in place: the server (and the attack,
     // which observes wire traffic) sees the lossy decodes.
@@ -418,7 +362,7 @@ TrainingResult CentralizedTrainer::run() {
     metrics.mean_honest_loss = honest_loss;
     metrics.accuracy = [&] {
       BCL_TRACE_SPAN("evaluate");
-      return evaluate_with(lane_models[0], global_params_, *test_,
+      return evaluate_with(clients.first_lane(), global_params_, *test_,
                            config_.eval_max_examples);
     }();
     metrics.accuracy_min = metrics.accuracy;

@@ -2,42 +2,10 @@
 
 #include <algorithm>
 #include <numeric>
-#include <stdexcept>
+
+#include "util/thread_pool.hpp"
 
 namespace bcl {
-
-Client::Client(std::size_t id, const ml::Dataset* data,
-               std::vector<std::size_t> shard, const ModelFactory& factory,
-               std::size_t batch_size, Rng rng)
-    : id_(id),
-      data_(data),
-      shard_(std::move(shard)),
-      model_(factory()),
-      batch_size_(batch_size),
-      rng_(rng) {
-  if (data_ == nullptr) throw std::invalid_argument("Client: null dataset");
-  if (shard_.empty()) throw std::invalid_argument("Client: empty shard");
-  if (batch_size_ == 0) throw std::invalid_argument("Client: zero batch size");
-}
-
-GradientEstimate Client::stochastic_gradient(const Vector& parameters) {
-  GradientEstimate estimate;
-  estimate.gradient.resize(model_.parameter_count());
-  estimate.loss = stochastic_gradient_into(parameters,
-                                           estimate.gradient.data());
-  return estimate;
-}
-
-double Client::stochastic_gradient_into(const Vector& parameters,
-                                        double* out_gradient) {
-  return stochastic_gradient_with(model_, *data_, shard_, batch_size_, rng_,
-                                  parameters, out_gradient);
-}
-
-double Client::evaluate(const Vector& parameters, const ml::Dataset& eval_set,
-                        std::size_t max_examples) {
-  return evaluate_with(model_, parameters, eval_set, max_examples);
-}
 
 double stochastic_gradient_with(ml::Model& scratch, const ml::Dataset& data,
                                 const std::vector<std::size_t>& shard,
@@ -65,6 +33,61 @@ double evaluate_with(ml::Model& scratch, const Vector& parameters,
   std::iota(indices.begin(), indices.end(), 0);
   return scratch.accuracy(eval_set.batch(indices),
                           eval_set.batch_labels(indices));
+}
+
+ClientLanes::ClientLanes(const TrainingConfig& config,
+                         const ModelFactory& factory, const ml::Dataset& train,
+                         const Rng& root)
+    : pool_(config.pool),
+      batch_size_(config.batch_size),
+      honest_(config.num_clients - config.num_byzantine),
+      train_(&train) {
+  Rng partition_rng = root.split(1);
+  shards_ = ml::partition_dataset(train, config.num_clients,
+                                  config.heterogeneity, partition_rng);
+  // Data-poisoning attacks (label-flip) corrupt the Byzantine shards here:
+  // those clients then train honestly on a poisoned copy of the training
+  // set, so their "own gradient" is already attacked.
+  byzantine_train_ = poison_byzantine_shards(
+      *config.attack, train, shards_, config.num_byzantine, poisoned_);
+  if (std::any_of(shards_.begin(), shards_.end(),
+                  [](const auto& shard) { return shard.empty(); })) {
+    whole_set_.resize(train.size());
+    std::iota(whole_set_.begin(), whole_set_.end(), std::size_t{0});
+  }
+  for (std::size_t i = 0; i < config.num_clients; ++i) {
+    rngs_.push_back(root.split(100 + i));
+  }
+  lanes_.resize(pool_ != nullptr ? pool_->size() + 1 : 1);
+  for (ml::Model& lane : lanes_) lane = factory();
+}
+
+Vector ClientLanes::initial_parameters(const Rng& root) {
+  Rng init_rng = root.split(2);
+  lanes_.front().initialize(init_rng);
+  return lanes_.front().parameters();
+}
+
+double ClientLanes::gradient(ml::Model& lane, std::size_t i,
+                             const Vector& parameters, double* out_gradient) {
+  return stochastic_gradient_with(
+      lane, i < honest_ ? *train_ : *byzantine_train_,
+      shards_[i].empty() ? whole_set_ : shards_[i], batch_size_, rngs_[i],
+      parameters, out_gradient);
+}
+
+void ClientLanes::for_each(
+    std::size_t count,
+    const std::function<void(ml::Model&, std::size_t)>& fn) {
+  if (pool_ == nullptr || count <= 1) {
+    for (std::size_t k = 0; k < count; ++k) fn(lanes_.front(), k);
+    return;
+  }
+  const std::size_t chunk = (count + lanes_.size() - 1) / lanes_.size();
+  pool_->parallel_for(0, lanes_.size(), [&](std::size_t l) {
+    const std::size_t end = std::min(count, (l + 1) * chunk);
+    for (std::size_t k = l * chunk; k < end; ++k) fn(lanes_[l], k);
+  });
 }
 
 }  // namespace bcl

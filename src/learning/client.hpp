@@ -1,11 +1,14 @@
 #pragma once
-// A collaborative-learning client: owns its local data shard, its model
-// replica and its private RNG stream, and produces stochastic gradient
-// estimates (Equation 2 of the paper) at requested parameter points.
+// Client-side computation shared by both trainers.  A client owns no model:
+// it is its shard of the training partition, the dataset it reads and its
+// RNG stream.  Its stochastic gradients (Equation 2 of the paper) and the
+// evaluations run on scratch models, one per worker lane.
 
 #include <cstddef>
 #include <functional>
+#include <vector>
 
+#include "learning/config.hpp"
 #include "linalg/vector_ops.hpp"
 #include "ml/dataset.hpp"
 #include "ml/model.hpp"
@@ -13,67 +16,69 @@
 
 namespace bcl {
 
-/// Builds a fresh (uninitialized) model replica; every client gets its own
-/// instance so gradient computation parallelizes without shared state.
+/// Builds a fresh (uninitialized) model: one scratch model per lane.
 using ModelFactory = std::function<ml::Model()>;
 
-struct GradientEstimate {
-  Vector gradient;
-  double loss = 0.0;
-};
-
-/// The arithmetic of Client::stochastic_gradient_into as a free function
-/// over a caller-provided scratch model: sets `parameters` on `scratch`,
-/// samples one mini-batch of `shard` from `rng` (with replacement) and
-/// writes the gradient into out_gradient[0..parameter_count).  Returns the
-/// mini-batch loss.  The scratch model's state is fully overwritten, so
-/// which replica computes a given (parameters, shard, rng) triple never
-/// affects the result — the centralized trainer runs one replica per
-/// worker lane over many clients and stays bitwise identical to the
-/// replica-per-client path.
+/// Sets `parameters` on `scratch`, samples one mini-batch of `shard` from
+/// `rng` (with replacement) and writes the gradient into
+/// out_gradient[0..parameter_count) — typically a GradientBatch row.
+/// Returns the mini-batch loss.  The scratch model's state is fully
+/// overwritten, so which model computes a given (parameters, shard, rng)
+/// triple never affects the result.
 double stochastic_gradient_with(ml::Model& scratch, const ml::Dataset& data,
                                 const std::vector<std::size_t>& shard,
                                 std::size_t batch_size, Rng& rng,
                                 const Vector& parameters, double* out_gradient);
 
-/// Client::evaluate as a free function over a scratch model (stateless
-/// given `parameters`; same sharing rationale as stochastic_gradient_with).
+/// Accuracy at `parameters` on the first `max_examples` of `eval_set`
+/// (0 = all), computed on `scratch`; depends only on the parameter bytes.
 double evaluate_with(ml::Model& scratch, const Vector& parameters,
                      const ml::Dataset& eval_set, std::size_t max_examples = 0);
 
-class Client {
+/// The per-client state of both trainers and its lane models.  Client i
+/// samples config.batch_size examples from its shard of the partition
+/// drawn from root.split(1) — the whole training set if that shard is
+/// empty (more clients than examples) — with the stream root.split(100 +
+/// i).  Byzantine ids (the last f) read the label-poisoned copy when the
+/// attack poisons data.  There are config.pool->size() + 1 lane models, or
+/// one without a pool.
+class ClientLanes {
  public:
-  /// `shard` indexes into `data` (not owned; must outlive the client).
-  Client(std::size_t id, const ml::Dataset* data,
-         std::vector<std::size_t> shard, const ModelFactory& factory,
-         std::size_t batch_size, Rng rng);
+  /// `train` must outlive the object.
+  ClientLanes(const TrainingConfig& config, const ModelFactory& factory,
+              const ml::Dataset& train, const Rng& root);
+  ClientLanes(const ClientLanes&) = delete;
+  ClientLanes& operator=(const ClientLanes&) = delete;
 
-  std::size_t id() const { return id_; }
-  std::size_t shard_size() const { return shard_.size(); }
+  /// The model every client starts from: lane 0 initialized from
+  /// root.split(2).
+  Vector initial_parameters(const Rng& root);
 
-  /// Stochastic gradient of the local loss at `parameters`, from one random
-  /// mini-batch of the shard (sampling with replacement).
-  GradientEstimate stochastic_gradient(const Vector& parameters);
+  /// Client i's stochastic gradient at `parameters`, computed on `lane`
+  /// into out_gradient[0..d); returns the mini-batch loss.
+  double gradient(ml::Model& lane, std::size_t i, const Vector& parameters,
+                  double* out_gradient);
 
-  /// Same computation, but the gradient is written directly into
-  /// out_gradient[0..parameter_count) — typically a GradientBatch row — so
-  /// the per-round gradient never passes through an intermediate Vector.
-  /// Returns the mini-batch loss.  Consumes the same RNG stream as
-  /// stochastic_gradient, so the two are interchangeable round for round.
-  double stochastic_gradient_into(const Vector& parameters,
-                                  double* out_gradient);
+  /// Runs fn(lane model, k) for every k in [0, count).  With a pool and
+  /// count > 1 each lane takes one contiguous chunk of k, so a lane model
+  /// is touched by one worker only; otherwise all of it runs on lane 0.
+  void for_each(std::size_t count,
+                const std::function<void(ml::Model&, std::size_t)>& fn);
 
-  /// Accuracy of the model at `parameters` on an arbitrary evaluation set.
-  double evaluate(const Vector& parameters, const ml::Dataset& eval_set,
-                  std::size_t max_examples = 0);
+  /// Lane 0's model, for work on the calling thread.
+  ml::Model& first_lane() { return lanes_.front(); }
 
  private:
-  std::size_t id_;
-  const ml::Dataset* data_;
-  std::vector<std::size_t> shard_;
-  ml::Model model_;
+  ThreadPool* pool_;
   std::size_t batch_size_;
-  Rng rng_;
+  std::size_t honest_;
+  const ml::Dataset* train_;
+  ml::Dataset poisoned_;
+  const ml::Dataset* byzantine_train_;
+  std::vector<std::vector<std::size_t>> shards_;
+  std::vector<std::size_t> whole_set_;
+  std::vector<Rng> rngs_;
+  std::vector<ml::Model> lanes_;
 };
 
 }  // namespace bcl

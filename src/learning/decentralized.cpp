@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 
@@ -13,7 +14,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace bcl {
 
@@ -56,27 +56,10 @@ TrainingResult DecentralizedTrainer::run() {
   const std::size_t honest_count = n - f;
   Rng root(config_.seed);
 
-  Rng partition_rng = root.split(1);
-  const auto shards =
-      ml::partition_dataset(*train_, n, config_.heterogeneity, partition_rng);
-  // Label-poisoning attacks corrupt the Byzantine shards at setup.
-  ml::Dataset poisoned_train;
-  const ml::Dataset* byz_train = poison_byzantine_shards(
-      *config_.attack, *train_, shards, f, poisoned_train);
-  std::vector<std::unique_ptr<Client>> clients;
-  clients.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    clients.push_back(std::make_unique<Client>(
-        i, i < honest_count ? train_ : byz_train, shards[i], factory_,
-        config_.batch_size, root.split(100 + i)));
-  }
-
-  // Every client starts from the same initial model (created once at the
-  // beginning, as in the paper); divergence comes from the data and faults.
-  ml::Model init_model = factory_();
-  Rng init_rng = root.split(2);
-  init_model.initialize(init_rng);
-  params_.assign(honest_count, init_model.parameters());
+  // Every client starts from the same initial model; divergence comes
+  // from the data and faults.
+  ClientLanes clients(config_, factory_, *train_, root);
+  params_.assign(honest_count, clients.initial_parameters(root));
 
   AgreementConfig agreement;
   agreement.n = n;
@@ -119,7 +102,7 @@ TrainingResult DecentralizedTrainer::run() {
   // One contiguous gradient batch per round (honest rows first); clients
   // write their rows in place, and the spread metric runs the Gram kernel
   // over the honest prefix without materializing per-client Vectors.
-  const std::size_t dim = init_model.parameter_count();
+  const std::size_t dim = params_[0].size();
   GradientBatch gradients(n, dim);
   std::vector<double> losses(n, 0.0);
 
@@ -134,32 +117,29 @@ TrainingResult DecentralizedTrainer::run() {
   VectorList live_view;
   std::vector<std::optional<Vector>> byz_values(n);
   VectorList inputs(n, zeros(dim));
-  std::vector<double> accuracies(honest_count, 0.0);
+  std::vector<std::size_t> distinct;  // one honest id per distinct model
+  std::vector<std::size_t> model_of(honest_count, 0);  // id -> its slot
+  std::vector<double> distinct_accuracy;
 
   for (std::size_t round = 0; round < config_.rounds; ++round) {
     Stopwatch round_watch;
     BCL_TRACE_SPAN("round");
     if (faulty) agreement.fault_round = round;
     // Phase 1: local stochastic gradients at each honest client's own
-    // parameters (parallel; disjoint rows and model replicas).  Down
-    // clients compute nothing this round: their row is zeroed (the engine
+    // parameters (parallel over the lanes; disjoint rows).  Down clients
+    // compute nothing this round: their row is zeroed (the engine
     // suppresses their broadcast anyway) and their loss excluded below.
-    auto compute = [&](std::size_t i) {
-      if (!live(i, round)) {
-        losses[i] = 0.0;
-        std::fill(gradients.row(i), gradients.row(i) + dim, 0.0);
-        return;
-      }
-      const Vector& at = i < honest_count ? params_[i] : params_[0];
-      losses[i] = clients[i]->stochastic_gradient_into(at, gradients.row(i));
-    };
     {
       BCL_TRACE_SPAN("grad.compute");
-      if (config_.pool != nullptr) {
-        config_.pool->parallel_for(0, n, compute);
-      } else {
-        for (std::size_t i = 0; i < n; ++i) compute(i);
-      }
+      clients.for_each(n, [&](ml::Model& lane, std::size_t i) {
+        if (!live(i, round)) {
+          losses[i] = 0.0;
+          std::fill(gradients.row(i), gradients.row(i) + dim, 0.0);
+          return;
+        }
+        const Vector& at = i < honest_count ? params_[i] : params_[0];
+        losses[i] = clients.gradient(lane, i, at, gradients.row(i));
+      });
     }
 
     double honest_loss = 0.0;
@@ -288,20 +268,28 @@ TrainingResult DecentralizedTrainer::run() {
       }
     }
 
-    // Phase 5: evaluate every live honest local model.
-    accuracies.assign(honest_count, 0.0);
-    auto evaluate = [&](std::size_t i) {
-      if (!live(i, round)) return;
-      accuracies[i] = clients[i]->evaluate(params_[i], *test_,
-                                           config_.eval_max_examples);
-    };
+    // Phase 5: evaluate every live honest local model — each distinct one
+    // once.  Accuracy depends only on the parameter bytes, so a model
+    // bytewise equal to one already listed this round (every model, under
+    // synchronous exact agreement) reuses its accuracy.
     {
       BCL_TRACE_SPAN("evaluate");
-      if (config_.pool != nullptr) {
-        config_.pool->parallel_for(0, honest_count, evaluate);
-      } else {
-        for (std::size_t i = 0; i < honest_count; ++i) evaluate(i);
+      distinct.clear();
+      for (std::size_t i = 0; i < honest_count; ++i) {
+        if (!live(i, round)) continue;
+        const auto match = std::find_if(
+            distinct.begin(), distinct.end(), [&](std::size_t j) {
+              return std::memcmp(params_[j].data(), params_[i].data(),
+                                 dim * sizeof(double)) == 0;
+            });
+        model_of[i] = static_cast<std::size_t>(match - distinct.begin());
+        if (match == distinct.end()) distinct.push_back(i);
       }
+      distinct_accuracy.resize(distinct.size());
+      clients.for_each(distinct.size(), [&](ml::Model& lane, std::size_t k) {
+        distinct_accuracy[k] = evaluate_with(lane, params_[distinct[k]], *test_,
+                                             config_.eval_max_examples);
+      });
     }
 
     RoundMetrics metrics;
@@ -313,7 +301,7 @@ TrainingResult DecentralizedTrainer::run() {
     double hi = 0.0;
     for (std::size_t i = 0; i < honest_count; ++i) {
       if (!live(i, round)) continue;
-      const double a = accuracies[i];
+      const double a = distinct_accuracy[model_of[i]];
       sum += a;
       lo = std::min(lo, a);
       hi = std::max(hi, a);

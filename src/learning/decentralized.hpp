@@ -6,7 +6,9 @@
 // synchronous sub-rounds (the El-Mhamdi et al. schedule the paper adopts),
 // and each client applies its own agreed vector with SGD.  Byzantine
 // clients submit attacked gradients and repeat them through the sub-rounds.
-// Reproduces the Figure 3 experiments.
+// Each round evaluates every distinct live honest model once: under
+// synchronous exact agreement the honest models are bitwise equal and one
+// evaluation serves them all.  Reproduces the Figure 3 experiments.
 
 #include "agreement/round_function.hpp"
 #include "learning/client.hpp"

@@ -4,8 +4,8 @@
 // semantics), RNG stream isolation across the fault/message/codec streams,
 // EventNetwork termination and degraded-round accounting under churn, the
 // elastic centralized trainer, the faults=none bitwise-equality contract,
-// and the membership-mode equivalence grid (cohort=1 and stale=1 against
-// the plain run).
+// the membership-mode equivalence grid (cohort=1 and stale=1 against the
+// plain run), and the decentralized pooled-vs-serial lane grid.
 
 #include <gtest/gtest.h>
 
@@ -614,6 +614,74 @@ TEST(DecentralizedFaults, CrashRecoverCompletesWithLiveAccounting) {
     EXPECT_LE(m.live_clients, 10.0);
     EXPECT_TRUE(std::isfinite(m.accuracy));
   }
+}
+
+// --- decentralized lane grid ----------------------------------------------
+//
+// The decentralized trainer computes gradients and evaluations on one
+// scratch model per worker lane and evaluates each distinct honest model
+// once.  Neither may change a bit: on a 3-worker pool every RoundMetrics
+// double except the wall clock, and every honest model, must equal the
+// serial run.  The grid crosses the rule families, a synchronous and a
+// lossy bursty network (which splits the honest models apart), a sparse
+// codec, and three liveness settings: everyone up, a silent Byzantine
+// client, and honest clients crashing and recovering.
+
+TEST(DecentralizedLaneGrid, PooledRunReplaysSerialBitwise) {
+  const auto data = ml::make_synthetic_dataset(tiny_spec(22));
+  const auto factory = tiny_mlp_factory(data.train.feature_dim());
+  ThreadPool pool(3);
+  std::size_t cells = 0, equal = 0, split_rounds = 0;
+  for (const char* rule :
+       {"MEAN", "CW-MEDIAN", "KRUM", "MD-GEOM", "BOX-MEAN", "BOX-GEOM"}) {
+    for (const char* net :
+         {"sync", "async:delay=mmpp,mean=1,mean2=20,p01=0.1,p10=0.3,"
+                  "drop=0.05,timeout=50"}) {
+      for (const char* comp : {"identity", "topk:frac=0.1"}) {
+        for (const char* liveness :
+             {"none", "crash:from=1", "crash-recover:mttf=2,mttr=1"}) {
+          const bool silent = std::string(liveness) == "crash:from=1";
+          const auto run = [&](ThreadPool* p) {
+            TrainingConfig cfg =
+                base_config(rule, silent ? liveness : "sign-flip");
+            cfg.num_byzantine = 2;
+            cfg.rounds = 4;
+            cfg.codec = make_codec(comp);
+            cfg.net = NetConfig::parse(net);
+            if (!silent) cfg.faults = FaultConfig::parse(liveness);
+            cfg.eval_max_examples = 60;
+            cfg.pool = p;
+            DecentralizedTrainer trainer(cfg, factory, &data.train,
+                                         &data.test);
+            GridRun out;
+            out.result = trainer.run();
+            for (const Vector& params : trainer.honest_parameters()) {
+              out.parameters.insert(out.parameters.end(), params.begin(),
+                                    params.end());
+            }
+            return out;
+          };
+          const GridRun serial = run(nullptr);
+          const GridRun pooled = run(&pool);
+          for (const RoundMetrics& m : serial.result.history) {
+            if (m.accuracy_min < m.accuracy_max) ++split_rounds;
+          }
+          ++cells;
+          if (bitwise_equal(serial, pooled)) {
+            ++equal;
+          } else {
+            ADD_FAILURE() << "pooled run differs from serial: " << rule
+                          << " " << net << " " << comp << " " << liveness;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cells, 72u);
+  EXPECT_EQ(equal, cells);
+  // The grid must reach rounds where the honest models differ, or the
+  // distinct-model evaluation would only ever see one model.
+  EXPECT_GT(split_rounds, 0u);
 }
 
 // --- scenario / sweep surface ----------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "aggregation/registry.hpp"
@@ -48,53 +49,85 @@ TrainingConfig base_config(const std::string& rule,
   return cfg;
 }
 
-// --- Client ---
+// --- client-side computation ---
 
-TEST(Client, GradientHasModelDimension) {
+TEST(ClientFunctions, GradientHasModelDimension) {
   const auto data = ml::make_synthetic_dataset(tiny_spec(1));
   const auto factory = tiny_mlp_factory(data.train.feature_dim());
   ml::Model probe = factory();
-  std::vector<std::size_t> shard{0, 1, 2, 3, 4};
-  Client client(0, &data.train, shard, factory, 4, Rng(1));
   Rng init(2);
   probe.initialize(init);
-  const auto estimate = client.stochastic_gradient(probe.parameters());
-  EXPECT_EQ(estimate.gradient.size(), probe.parameter_count());
-  EXPECT_TRUE(std::isfinite(estimate.loss));
-  EXPECT_GT(norm2(estimate.gradient), 0.0);
+  ml::Model scratch = factory();
+  Rng rng(1);
+  // One sentinel past the end: exactly parameter_count entries are written.
+  const std::size_t dim = probe.parameter_count();
+  Vector out(dim + 1, -1.0);
+  const double loss = stochastic_gradient_with(
+      scratch, data.train, {0, 1, 2, 3, 4}, 4, rng, probe.parameters(),
+      out.data());
+  EXPECT_TRUE(std::isfinite(loss));
+  EXPECT_EQ(out[dim], -1.0);
+  out.pop_back();
+  EXPECT_GT(norm2(out), 0.0);
 }
 
-TEST(Client, DeterministicGivenSameRng) {
+TEST(ClientFunctions, DeterministicGivenSameRng) {
+  // Same (parameters, shard, stream) on two scratch models, one of which
+  // already ran at other parameters: the result does not depend on the
+  // model it ran on.
   const auto data = ml::make_synthetic_dataset(tiny_spec(2));
   const auto factory = tiny_mlp_factory(data.train.feature_dim());
   ml::Model probe = factory();
   Rng init(3);
   probe.initialize(init);
-  std::vector<std::size_t> shard{0, 1, 2, 3, 4, 5};
-  Client a(0, &data.train, shard, factory, 4, Rng(7));
-  Client b(0, &data.train, shard, factory, 4, Rng(7));
-  EXPECT_EQ(a.stochastic_gradient(probe.parameters()).gradient,
-            b.stochastic_gradient(probe.parameters()).gradient);
+  const std::vector<std::size_t> shard{0, 1, 2, 3, 4, 5};
+  ml::Model fresh = factory();
+  ml::Model used = factory();
+  Vector a(probe.parameter_count()), b(probe.parameter_count());
+  Rng warm(9);
+  stochastic_gradient_with(used, data.train, shard, 4, warm,
+                           zeros(probe.parameter_count()), b.data());
+  Rng rng_a(7), rng_b(7);
+  const double loss_a = stochastic_gradient_with(
+      fresh, data.train, shard, 4, rng_a, probe.parameters(), a.data());
+  const double loss_b = stochastic_gradient_with(
+      used, data.train, shard, 4, rng_b, probe.parameters(), b.data());
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(loss_a, loss_b);
 }
 
-TEST(Client, EmptyShardThrows) {
-  const auto data = ml::make_synthetic_dataset(tiny_spec(3));
-  const auto factory = tiny_mlp_factory(data.train.feature_dim());
-  EXPECT_THROW(Client(0, &data.train, {}, factory, 4, Rng(1)),
-               std::invalid_argument);
-}
-
-TEST(Client, EvaluateReturnsFraction) {
+TEST(ClientFunctions, EvaluateReturnsFraction) {
   const auto data = ml::make_synthetic_dataset(tiny_spec(4));
   const auto factory = tiny_mlp_factory(data.train.feature_dim());
   ml::Model probe = factory();
   Rng init(4);
   probe.initialize(init);
-  std::vector<std::size_t> shard{0, 1, 2};
-  Client client(0, &data.train, shard, factory, 4, Rng(1));
-  const double acc = client.evaluate(probe.parameters(), data.test, 50);
+  ml::Model scratch = factory();
+  const double acc = evaluate_with(scratch, probe.parameters(), data.test, 50);
   EXPECT_GE(acc, 0.0);
   EXPECT_LE(acc, 1.0);
+}
+
+// With more clients than training examples the partition leaves shards
+// empty; those clients sample the whole training set, in both topologies.
+TEST(ClientFunctions, EmptyShardsSampleTheWholeSetInBothTopologies) {
+  ml::SyntheticSpec spec = tiny_spec(3);
+  spec.train_per_class = 1;  // 10 training examples for 13 clients
+  const auto data = ml::make_synthetic_dataset(spec);
+  ASSERT_LT(data.train.size(), 13u);
+  TrainingConfig cfg = base_config("MEAN", "none");
+  cfg.num_clients = 13;
+  cfg.rounds = 2;
+  const auto factory = tiny_mlp_factory(data.train.feature_dim());
+  const auto check = [](const TrainingResult& result) {
+    ASSERT_EQ(result.history.size(), 2u);
+    for (const RoundMetrics& m : result.history) {
+      EXPECT_TRUE(std::isfinite(m.mean_honest_loss));
+      EXPECT_GT(m.mean_honest_loss, 0.0);
+    }
+  };
+  check(CentralizedTrainer(cfg, factory, &data.train, &data.test).run());
+  check(DecentralizedTrainer(cfg, factory, &data.train, &data.test).run());
 }
 
 // --- config validation ---
@@ -284,6 +317,43 @@ TEST(Decentralized, DeterministicGivenSeed) {
   for (std::size_t r = 0; r < a.history.size(); ++r) {
     EXPECT_DOUBLE_EQ(a.history[r].accuracy, b.history[r].accuracy);
   }
+}
+
+TEST(Decentralized, DivergentModelsAreEvaluatedPerNode) {
+  // A lossy asynchronous network splits the honest inboxes, so the honest
+  // models stop being bitwise equal and each must be evaluated on its own.
+  const auto data = ml::make_synthetic_dataset(tiny_spec(14));
+  const auto factory = tiny_mlp_factory(data.train.feature_dim());
+  TrainingConfig cfg = base_config("MD-GEOM", "sign-flip");
+  cfg.rounds = 6;
+  cfg.net = NetConfig::parse(
+      "async:delay=mmpp,mean=1,mean2=20,p01=0.1,p10=0.3,drop=0.05,"
+      "timeout=50");
+  cfg.eval_max_examples = 100;
+  DecentralizedTrainer trainer(cfg, factory, &data.train, &data.test);
+  const TrainingResult result = trainer.run();
+  ASSERT_EQ(result.history.size(), 6u);
+  bool spread = false;
+  for (const RoundMetrics& m : result.history) {
+    spread = spread || m.accuracy_min < m.accuracy_max;
+  }
+  EXPECT_TRUE(spread);
+
+  // The last round's accuracies are those of the final honest models.
+  ml::Model scratch = factory();
+  double sum = 0.0, lo = 1.0, hi = 0.0;
+  for (const Vector& params : trainer.honest_parameters()) {
+    const double a = evaluate_with(scratch, params, data.test, 100);
+    sum += a;
+    lo = std::min(lo, a);
+    hi = std::max(hi, a);
+  }
+  const RoundMetrics& last = result.history.back();
+  EXPECT_LT(lo, hi);
+  EXPECT_EQ(last.accuracy_min, lo);
+  EXPECT_EQ(last.accuracy_max, hi);
+  EXPECT_EQ(last.accuracy,
+            sum / static_cast<double>(trainer.honest_parameters().size()));
 }
 
 }  // namespace

@@ -417,6 +417,15 @@ void expect_parses_as_json_array(const std::string& text,
   EXPECT_EQ(top_level_objects, expected_objects);
 }
 
+TEST(Emitters, UnwritablePathFailsAtConstruction) {
+  // A bad artifact path must fail before any scenario runs, not after the
+  // whole sweep.
+  EXPECT_THROW(experiments::JsonEmitter("/nonexistent/dir/x.json"),
+               std::runtime_error);
+  EXPECT_THROW(experiments::CsvEmitter("/nonexistent/dir/x"),
+               std::runtime_error);
+}
+
 TEST(ScenarioRunner, TwoRoundSmokeScenarioEmitsParsableJson) {
   const std::string path = "scenario_test_smoke.json";
   experiments::ScenarioRunner runner;
