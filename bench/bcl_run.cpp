@@ -52,8 +52,9 @@
 // prints the grid in exactly the order the cells would execute.
 //
 // Exit status: 0 on success (and for --help), 1 when a scenario is
-// rejected or fails to run, 2 for a malformed command line (one error
-// line plus the usage on stderr).
+// rejected or any cell FAILED (after every artifact is written; the
+// failed cells are listed on stderr), 2 for a malformed command line (one
+// error line plus the usage on stderr).
 
 #include <algorithm>
 #include <iostream>
@@ -268,8 +269,21 @@ int main(int argc, char** argv) {
                                "BENCH_scenarios.json");
     const std::size_t jobs =
         static_cast<std::size_t>(std::max(1LL, args.get_int("jobs", 1)));
-    runner.run_all(specs, emitters.pointers, jobs);
+    const std::vector<experiments::ScenarioSummary> summaries =
+        runner.run_all(specs, emitters.pointers, jobs);
     emitters.report(std::cout);
+    // Every artifact is written by now; a failed cell still fails the
+    // sweep, so an engine that breaks every cell cannot pass a CI run.
+    std::vector<std::string> failed;
+    for (const auto& summary : summaries) {
+      if (!summary.error.empty()) failed.push_back(summary.spec.name());
+    }
+    if (!failed.empty()) {
+      std::cerr << "bcl_run: " << failed.size() << " of " << summaries.size()
+                << " scenario(s) FAILED:\n";
+      for (const auto& name : failed) std::cerr << "  " << name << "\n";
+      return 1;
+    }
   } catch (const std::exception& error) {
     std::cerr << "bcl_run: " << error.what() << "\n";
     return 1;

@@ -336,7 +336,11 @@ void emit_json() {
   // (the oracle geometry_test checks it against bit for bit): one BOX-GEOM
   // subset solve at the paper's MLP shape (k = n - t = 9, d = 1842), then
   // a whole BOX-GEOM aggregation at m = 10, t = 2 (45 subset medians)
-  // against the same construction over gathered subsets.
+  // against the same construction over gathered subsets — on spread rows
+  // (box_geom) and on an agreed inbox (box_geom_agreed: 8 equal honest
+  // rows and 2 equal Byzantine rows, the inbox of every sub-round after
+  // the first of a synchronous agreement, where each subset median is the
+  // majority row).
   {
     const std::size_t k = 9, d = 1842;
     const VectorList pts = make_inputs(k, d, 15);
@@ -353,9 +357,11 @@ void emit_json() {
     records.push_back(
         {"weiszfeld_subset", k, d, fast, fast > 0.0 ? naive / fast : 0.0});
   }
-  {
-    const std::size_t m = 10, t = 2, d = 1842;
-    const VectorList pts = make_inputs(m, d, 17);
+  // Best of `reps` runs per side: 3 for the spread inbox (tens of ms per
+  // run), 20 for the agreed one, whose fast side takes about 0.1 ms.
+  const auto box_geom_record = [&](const char* op, const VectorList& pts,
+                                   int reps) {
+    const std::size_t m = pts.size(), t = 2, d = pts.front().size();
     AggregationContext ctx;
     ctx.n = m;
     ctx.t = t;
@@ -370,11 +376,18 @@ void emit_json() {
     };
     const auto rule = make_rule("BOX-GEOM");
     const double naive =
-        time_ns([&] { benchmark::DoNotOptimize(reference_box_geom()); }, 3);
+        time_ns([&] { benchmark::DoNotOptimize(reference_box_geom()); }, reps);
     const double fast = time_ns(
-        [&] { benchmark::DoNotOptimize(rule->aggregate(pts, ctx)); }, 3);
-    records.push_back(
-        {"box_geom", m, d, fast, fast > 0.0 ? naive / fast : 0.0});
+        [&] { benchmark::DoNotOptimize(rule->aggregate(pts, ctx)); }, reps);
+    records.push_back({op, m, d, fast, fast > 0.0 ? naive / fast : 0.0});
+  };
+  {
+    const std::size_t m = 10, d = 1842;
+    const VectorList spread = make_inputs(m, d, 17);
+    box_geom_record("box_geom", spread, 3);
+    VectorList agreed(m - 2, spread.front());
+    agreed.insert(agreed.end(), 2, constant(d, 25.0));
+    box_geom_record("box_geom_agreed", agreed, 20);
   }
 
   const char* path = "BENCH_micro_aggregation.json";

@@ -1,6 +1,8 @@
 #include "aggregation/hyperbox_rules.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "geometry/subsets.hpp"
@@ -13,18 +15,38 @@ namespace {
 
 // One fold of subset points into a running box: the subset's row view,
 // the solver's scratch, and lo/hi.  A fold is used by one thread at a time.
+//
+// With `classes` (geometric medians, keep >= 3, an inbox holding equal
+// rows) a subset in which one class of equal rows holds a majority skips
+// the kernel: its median is the row the kernel's majority test returns.
+// Agreed sub-rounds are made of such subsets.  A row equal to one this
+// fold already folded is skipped as well: min/max keep the running value
+// on ties, so folding it again changes no bit.
 class SubsetBoxFold {
  public:
   SubsetBoxFold(const VectorList& received, std::size_t keep,
-                SubsetAggregate kind, const WeiszfeldOptions& options)
+                SubsetAggregate kind, const WeiszfeldOptions& options,
+                const RowClasses* classes)
       : received_(received),
         d_(received.front().size()),
         kind_(kind),
         options_(options),
-        view_(keep) {}
+        classes_(classes),
+        view_(keep) {
+    if (classes_ != nullptr) folded_.assign(received.size(), 0);
+  }
 
   // Solves the subset `indices` and folds its point into the box.
   void add(const std::vector<std::size_t>& indices) {
+    if (classes_ != nullptr) {
+      const std::size_t row = classes_->majority(indices);
+      if (row != RowClasses::npos) {
+        char& folded = folded_[classes_->of(row)];
+        if (!folded) fold(received_[row].data());
+        folded = 1;
+        return;
+      }
+    }
     for (std::size_t j = 0; j < indices.size(); ++j) {
       view_[j] = received_[indices[j]].data();
     }
@@ -38,6 +60,12 @@ class SubsetBoxFold {
   }
 
   Hyperbox box() && { return Hyperbox(std::move(lo_), std::move(hi_)); }
+
+  // Marks a fold whose subsets all come after the first one.  The serial
+  // fold takes a NaN coordinate only from the first subset point (min/max
+  // keep the running value against a NaN), so here a NaN in the running
+  // box stands for "no value yet" and yields to the next point.
+  void start_after_first() { after_first_ = true; }
 
  private:
   const double* solve() {
@@ -68,6 +96,13 @@ class SubsetBoxFold {
       empty_ = false;
       return;
     }
+    if (after_first_) {
+      for (std::size_t k = 0; k < d_; ++k) {
+        lo_[k] = std::isnan(lo_[k]) ? lo[k] : std::min(lo_[k], lo[k]);
+        hi_[k] = std::isnan(hi_[k]) ? hi[k] : std::max(hi_[k], hi[k]);
+      }
+      return;
+    }
     for (std::size_t k = 0; k < d_; ++k) {
       lo_[k] = std::min(lo_[k], lo[k]);
       hi_[k] = std::max(hi_[k], hi[k]);
@@ -78,12 +113,15 @@ class SubsetBoxFold {
   std::size_t d_;
   SubsetAggregate kind_;
   WeiszfeldOptions options_;
+  const RowClasses* classes_;
+  std::vector<char> folded_;  // per class: a row of it was folded
   std::vector<const double*> view_;
   WeiszfeldScratch scratch_;
   Vector mean_;
   Vector lo_;
   Vector hi_;
   bool empty_ = true;
+  bool after_first_ = false;
 };
 
 }  // namespace
@@ -96,13 +134,25 @@ Hyperbox subset_aggregate_box(const VectorList& received, std::size_t keep,
     throw std::invalid_argument(
         "subset_aggregate_box: need 0 < keep <= received.size()");
   }
-  check_same_dimension(received);
-  SubsetBoxFold total(received, keep, kind, options);
+  const std::size_t d = check_same_dimension(received);
+  // Keep <= 2 has no majority test in the kernel (two rows give their
+  // midpoint), and without equal rows no subset can hold a majority.
+  std::optional<RowClasses> classes;
+  if (kind == SubsetAggregate::kGeometricMedian && keep >= 3) {
+    std::vector<const double*> rows;
+    rows.reserve(received.size());
+    for (const Vector& row : received) rows.push_back(row.data());
+    classes.emplace(rows.data(), rows.size(), d);
+    if (!classes->has_duplicates()) classes.reset();
+  }
+  SubsetBoxFold total(received, keep, kind, options,
+                      classes ? &*classes : nullptr);
   if (pool != nullptr && received.size() > keep) {
     // Contiguous subset ranges, one fold each, merged back in range order.
     const auto combos = all_combinations(received.size(), keep);
     const std::size_t parts = std::min(combos.size(), pool->size() + 1);
     std::vector<SubsetBoxFold> folds(parts, total);
+    for (std::size_t p = 1; p < parts; ++p) folds[p].start_after_first();
     pool->parallel_for(0, parts, [&](std::size_t p) {
       const std::size_t end = combos.size() * (p + 1) / parts;
       for (std::size_t c = combos.size() * p / parts; c < end; ++c) {

@@ -30,7 +30,10 @@ enum class SubsetAggregate { kMean, kGeometricMedian };
 /// Hyperbox::bounding over the list of subset points bit for bit.  With a
 /// pool, contiguous subset ranges fold into per-chunk boxes that are
 /// merged in subset order, which gives the same bits as the serial fold.
-/// `options` applies to kGeometricMedian only.
+/// For kGeometricMedian at keep >= 3, a subset in which equal rows hold a
+/// majority takes the row the solver's majority test would return,
+/// without a solve (see RowClasses).  `options` applies to
+/// kGeometricMedian only.
 Hyperbox subset_aggregate_box(const VectorList& received, std::size_t keep,
                               SubsetAggregate kind,
                               const WeiszfeldOptions& options,

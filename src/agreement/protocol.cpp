@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -226,6 +227,23 @@ VectorList honest_vectors(const std::vector<std::unique_ptr<AgreementNode>>& nod
   return out;
 }
 
+bool honest_vectors_identical(
+    const std::vector<std::unique_ptr<AgreementNode>>& nodes) {
+  const Vector* first = nullptr;
+  for (const auto& node : nodes) {
+    if (!node) continue;
+    const Vector& current = node->current();
+    if (first == nullptr) {
+      first = &current;
+    } else if (current.size() != first->size() ||
+               std::memcmp(current.data(), first->data(),
+                           current.size() * sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 AgreementResult run_impl(const VectorList& inputs, Adversary& adversary,
                          const AgreementConfig& config, bool fixed,
                          std::size_t fixed_rounds) {
@@ -306,6 +324,16 @@ AgreementResult run_impl(const VectorList& inputs, Adversary& adversary,
   }
 
   auto record_trace = [&] {
+    BCL_TRACE_SPAN("agreement.trace");
+    if (honest_vectors_identical(nodes)) {
+      // What the Gram path below returns for bitwise-equal rows: every
+      // squared distance is +0.0 (or a NaN, which the maximum skips), and
+      // so is every edge of their bounding box.  After sub-round 0 of a
+      // synchronous run every honest node holds the same vector.
+      result.trace.honest_diameter.push_back(0.0);
+      result.trace.honest_max_edge.push_back(0.0);
+      return;
+    }
     const VectorList current = honest_vectors(nodes);
     // The convergence check is itself a pairwise-distance computation;
     // build it through the Gram-trick kernel over a contiguous copy

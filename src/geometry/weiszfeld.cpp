@@ -194,6 +194,40 @@ WeiszfeldRowsResult geometric_median_rows(const double* const* rows,
   return answer(y);
 }
 
+RowClasses::RowClasses(const double* const* rows, std::size_t n,
+                       std::size_t d)
+    : class_(n) {
+  // == on doubles is an equivalence once NaN is out, and a row holding a
+  // NaN equals nothing, so comparing each row with the first row of every
+  // earlier class finds its class.
+  for (std::size_t i = 0; i < n; ++i) {
+    class_[i] = i;
+    for (std::size_t j = 0; j < i; ++j) {
+      if (class_[j] == j && rows_equal(rows[j], rows[i], d)) {
+        class_[i] = j;
+        duplicates_ = true;
+        break;
+      }
+    }
+  }
+}
+
+std::size_t RowClasses::majority(
+    const std::vector<std::size_t>& indices) const {
+  // majority_row's scan over class ids: the same rows compare equal, so
+  // the same first member wins.
+  const std::size_t k = indices.size();
+  for (std::size_t i = 0; 2 * (k - i) > k; ++i) {
+    const std::size_t c = class_[indices[i]];
+    std::size_t count = 1;
+    for (std::size_t j = i + 1; j < k; ++j) {
+      if (class_[indices[j]] == c) ++count;
+    }
+    if (2 * count > k) return indices[i];
+  }
+  return npos;
+}
+
 namespace {
 
 WeiszfeldResult solve(const VectorList& points,

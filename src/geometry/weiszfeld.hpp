@@ -71,6 +71,34 @@ WeiszfeldRowsResult geometric_median_rows(const double* const* rows,
                                           WeiszfeldScratch& scratch,
                                           bool with_objective = false);
 
+/// The equality classes of n rows under the kernel's row equality
+/// (coordinate-wise ==, so -0.0 equals 0.0 and a row holding a NaN equals
+/// no row), built once so that every subset of the rows can settle the
+/// kernel's majority test by counting class ids instead of comparing rows.
+class RowClasses {
+ public:
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+  RowClasses(const double* const* rows, std::size_t n, std::size_t d);
+
+  /// Class of row i: the index of the first row equal to it.
+  std::size_t of(std::size_t i) const { return class_[i]; }
+
+  /// True when some class holds two or more rows.
+  bool has_duplicates() const { return duplicates_; }
+
+  /// The row geometric_median_rows returns through its majority test for
+  /// the subset `indices` (ascending, at least 3 of them): the first
+  /// member of a class holding more than half of the subset — that row
+  /// with its own bits, not its class's first row.  npos when no class
+  /// holds a majority.
+  std::size_t majority(const std::vector<std::size_t>& indices) const;
+
+ private:
+  std::vector<std::size_t> class_;
+  bool duplicates_ = false;
+};
+
 /// Computes the geometric median of a non-empty list.  For one point the
 /// answer is the point; for two points the midpoint (every point on the
 /// segment is a minimizer; the midpoint is the canonical symmetric choice).

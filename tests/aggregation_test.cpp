@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "aggregation/hyperbox_rules.hpp"
 #include "aggregation/krum.hpp"
@@ -300,8 +301,8 @@ bool same_bits(const Vector& a, const Vector& b) {
 }
 
 TEST(BoxRules, SubsetBoxesMatchSerialAndPooled) {
-  // Two 9-row inboxes at keep = 7 (36 subsets, four chunks of nine on a
-  // 3-worker pool): random rows, and one whose rows 2..7 are equal up to
+  // 9-row inboxes at keep = 7 (36 subsets, four chunks of nine on a
+  // 3-worker pool): random rows, one whose rows 2..7 are equal up to
   // the sign of their zeros.  Every 7-subset of the second holds a
   // majority of those rows, so each subset median is the subset's first
   // such row and the subset points tie at +0.0 / -0.0.  std::min/std::max
@@ -316,15 +317,38 @@ TEST(BoxRules, SubsetBoxesMatchSerialAndPooled) {
     signed_zeros[i] = {i % 2 == 0 ? 0.0 : -0.0, i % 2 == 0 ? -0.0 : 0.0,
                        1.5, -2.0, 0.25};
   }
+  // A third inbox has NaNs in rows 5 and 8, so the points of the subsets
+  // holding them carry NaNs: the serial fold keeps the first subset's NaN
+  // and passes over every later one, and a chunk that starts on such a
+  // subset must not lose its other points.
+  VectorList nans = random_points(rng, 9, 5);
+  nans[5][1] = std::numeric_limits<double>::quiet_NaN();
+  nans[8][3] = std::numeric_limits<double>::quiet_NaN();
   ThreadPool pool(3);
-  for (const VectorList& pts : {random_rows, signed_zeros}) {
+  const VectorList* const inboxes[] = {&random_rows, &signed_zeros, &nans};
+  for (const VectorList* inbox : inboxes) {
+    const VectorList& pts = *inbox;
     for (const SubsetAggregate kind :
          {SubsetAggregate::kMean, SubsetAggregate::kGeometricMedian}) {
       const Hyperbox serial = subset_aggregate_box(pts, 7, kind, {}, nullptr);
       const Hyperbox pooled = subset_aggregate_box(pts, 7, kind, {}, &pool);
       EXPECT_TRUE(same_bits(serial.lo(), pooled.lo()));
       EXPECT_TRUE(same_bits(serial.hi(), pooled.hi()));
+      VectorList points;
+      for_each_combination(pts.size(), 7,
+                           [&](const std::vector<std::size_t>& idx) {
+                             const VectorList subset = gather(pts, idx);
+                             points.push_back(
+                                 kind == SubsetAggregate::kMean
+                                     ? mean(subset)
+                                     : geometric_median_point(subset));
+                           });
+      const Hyperbox bounding = Hyperbox::bounding(points);
+      EXPECT_TRUE(same_bits(serial.lo(), bounding.lo()));
+      EXPECT_TRUE(same_bits(serial.hi(), bounding.hi()));
     }
+    // The rules reject non-finite rows.
+    if (inbox == &nans) continue;
     for (const std::string name : {"BOX-MEAN", "BOX-GEOM"}) {
       const auto rule = make_rule(name);
       AggregationContext ctx = ctx_of(9, 2);

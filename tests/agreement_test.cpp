@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "agreement/protocol.hpp"
 #include "agreement/round_function.hpp"
+#include "linalg/distance_matrix.hpp"
+#include "linalg/gradient_batch.hpp"
 #include "linalg/hyperbox.hpp"
 #include "network/adversary.hpp"
+#include "network/delay_model.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -202,6 +206,67 @@ TEST(Agreement, ParallelPoolMatchesSerial) {
   for (std::size_t i = 0; i < a.outputs.size(); ++i) {
     EXPECT_TRUE(approx_equal(a.outputs[i], b.outputs[i], 0.0));
   }
+}
+
+// --- convergence trace ---
+
+// Once the honest vectors are bitwise equal, the trace records +0.0 without
+// building the distance matrix: the value that build returns for equal rows.
+TEST(AgreementTrace, SyncBoxGeomEntriesAfterFirstSubroundArePositiveZero) {
+  Rng rng(17);
+  const VectorList inputs = random_inputs(rng, 10, 6);
+  SignFlipAdversary adversary({8, 9});
+  const auto result =
+      run_fixed_rounds_agreement(inputs, adversary, 4, box_geom_config(10, 2));
+  const AgreementTrace& trace = result.trace;
+  ASSERT_EQ(trace.honest_diameter.size(), 5u);
+  ASSERT_EQ(trace.honest_max_edge.size(), 5u);
+  EXPECT_GT(trace.honest_diameter[0], 0.0);
+  EXPECT_GT(trace.honest_max_edge[0], 0.0);
+  for (std::size_t r = 1; r < trace.honest_diameter.size(); ++r) {
+    EXPECT_EQ(trace.honest_diameter[r], 0.0) << "entry " << r;
+    EXPECT_FALSE(std::signbit(trace.honest_diameter[r])) << "entry " << r;
+    EXPECT_EQ(trace.honest_max_edge[r], 0.0) << "entry " << r;
+    EXPECT_FALSE(std::signbit(trace.honest_max_edge[r])) << "entry " << r;
+  }
+}
+
+// Under a lossy asynchronous network the inboxes differ, so the honest
+// vectors do too: entry r of an R-sub-round trace must be what the distance
+// matrix and the bounding box give over the outputs of an r-sub-round run
+// (the same seeded network replays the same first r sub-rounds).
+TEST(AgreementTrace, LossyAsyncEntriesMatchTheOutputsOfShorterRuns) {
+  Rng rng(18);
+  const VectorList inputs = random_inputs(rng, 10, 6);
+  const std::size_t subrounds = 5;
+  AgreementConfig cfg = box_geom_config(10, 2);
+  cfg.net = NetConfig::parse("async:delay=exp,mean=2,drop=0.15,timeout=4");
+  const auto run = [&](std::size_t rounds) {
+    SignFlipAdversary adversary({8, 9});
+    return run_fixed_rounds_agreement(inputs, adversary, rounds, cfg);
+  };
+  const AgreementTrace full = run(subrounds).trace;
+  ASSERT_EQ(full.honest_diameter.size(), subrounds + 1);
+  std::size_t divergent_later_entries = 0;
+  for (std::size_t r = 0; r <= subrounds; ++r) {
+    const VectorList outputs = run(r).outputs;
+    const double diameter =
+        DistanceMatrix(GradientBatch::from(outputs)).diameter();
+    const double max_edge = Hyperbox::bounding(outputs).max_edge();
+    EXPECT_EQ(std::memcmp(&full.honest_diameter[r], &diameter,
+                          sizeof(double)),
+              0)
+        << "entry " << r << ": " << full.honest_diameter[r] << " vs "
+        << diameter;
+    EXPECT_EQ(std::memcmp(&full.honest_max_edge[r], &max_edge,
+                          sizeof(double)),
+              0)
+        << "entry " << r << ": " << full.honest_max_edge[r] << " vs "
+        << max_edge;
+    if (r > 0 && diameter > 0.0) ++divergent_later_entries;
+  }
+  // The case must exercise the path without the short-circuit.
+  EXPECT_GT(divergent_later_entries, 0u);
 }
 
 // --- round functions ---

@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <set>
+#include <string>
 #include <tuple>
+#include <vector>
 
+#include "aggregation/hyperbox_rules.hpp"
 #include "aggregation/registry.hpp"
 #include "agreement/round_function.hpp"
 #include "geometry/convex2d.hpp"
@@ -25,6 +29,7 @@
 #include "linalg/workspace.hpp"
 #include "support/weiszfeld_reference.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace bcl {
 namespace {
@@ -356,6 +361,161 @@ TEST(WeiszfeldOracle, StickyRoundMatchesOracleComposition) {
   }
   StickyMinDiameterGeoRound round;
   EXPECT_TRUE(same_bits(round.step(pts, current, ctx), expected));
+}
+
+// --- agreed inboxes: BOX-GEOM's class-majority short-circuit ---
+
+// Inboxes whose subsets hold majorities of equal rows — after sub-round 0
+// of a synchronous agreement every BOX-GEOM inbox looks like the first.
+struct DuplicateInbox {
+  std::string name;
+  VectorList rows;
+};
+
+std::vector<DuplicateInbox> duplicate_inboxes(std::size_t d) {
+  Rng rng(46);
+  std::vector<DuplicateInbox> inboxes;
+  // Eight equal honest rows and two equal Byzantine rows (m = 10, t = 2).
+  VectorList agreed(8, random_rows(rng, 1, d)[0]);
+  agreed.insert(agreed.end(), 2, constant(d, 40.0));
+  inboxes.push_back({"8+2", agreed});
+  // Five rows and a copy of each: at keep = 8 no class holds a majority
+  // of any subset, so every subset goes to the kernel.
+  const VectorList five = random_rows(rng, 5, d);
+  VectorList pairs = five;
+  pairs.insert(pairs.end(), five.begin(), five.end());
+  inboxes.push_back({"5+5", pairs});
+  // Rows 1..7 equal up to the sign of their zeros, row 1 holding +0.0
+  // where rows 2, 4, 6 hold -0.0: a subset without row 1 resolves to row
+  // 2 and must keep row 2's bits, not row 1's.
+  VectorList zeros = random_rows(rng, 10, d);
+  const Vector base = random_rows(rng, 1, d)[0];
+  for (std::size_t i = 1; i < 8; ++i) {
+    zeros[i] = base;
+    zeros[i][0] = i % 2 == 0 ? -0.0 : 0.0;
+    zeros[i][d - 1] = i % 2 == 0 ? 0.0 : -0.0;
+  }
+  inboxes.push_back({"signed zeros", zeros});
+  // Four copies of a row holding a NaN, which equals no row, copies
+  // included, so they never form a majority; rows 7..9 are equal.
+  VectorList nans = random_rows(rng, 10, d);
+  Vector nan_row = random_rows(rng, 1, d)[0];
+  nan_row[1] = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t i = 3; i < 7; ++i) nans[i] = nan_row;
+  for (std::size_t i = 8; i < 10; ++i) nans[i] = nans[7];
+  inboxes.push_back({"nan copies", nans});
+  return inboxes;
+}
+
+std::vector<const double*> row_pointers(const VectorList& rows) {
+  std::vector<const double*> out;
+  for (const Vector& row : rows) out.push_back(row.data());
+  return out;
+}
+
+// RowClasses::majority must name, subset by subset, the very row the
+// kernel returns through its majority test, and no row when the kernel
+// solves the subset.
+TEST(RowClasses, MajorityIsTheKernelsMajorityRow) {
+  const std::size_t d = 6;
+  std::size_t resolved = 0;
+  std::size_t solved = 0;
+  std::size_t not_first_of_class = 0;
+  for (const DuplicateInbox& inbox : duplicate_inboxes(d)) {
+    SCOPED_TRACE(inbox.name);
+    const std::vector<const double*> rows = row_pointers(inbox.rows);
+    const RowClasses classes(rows.data(), rows.size(), d);
+    EXPECT_TRUE(classes.has_duplicates());
+    WeiszfeldScratch scratch;
+    for (const std::size_t keep : {3, 4, 8}) {
+      for_each_combination(
+          rows.size(), keep, [&](const std::vector<std::size_t>& idx) {
+            std::vector<const double*> view;
+            for (std::size_t i : idx) view.push_back(rows[i]);
+            const double* point =
+                geometric_median_rows(view.data(), keep, d, {}, scratch)
+                    .point;
+            const std::size_t row = classes.majority(idx);
+            if (row == RowClasses::npos) {
+              ++solved;
+              EXPECT_EQ(std::count(view.begin(), view.end(), point), 0);
+            } else {
+              ++resolved;
+              EXPECT_EQ(point, rows[row]);
+              if (classes.of(row) != row) ++not_first_of_class;
+            }
+          });
+    }
+  }
+  EXPECT_GT(resolved, 0u);
+  EXPECT_GT(solved, 0u);
+  EXPECT_GT(not_first_of_class, 0u);
+  // Without equal rows there are no classes to count.
+  Rng rng(47);
+  const VectorList distinct = random_rows(rng, 6, d);
+  const std::vector<const double*> rows = row_pointers(distinct);
+  EXPECT_FALSE(RowClasses(rows.data(), rows.size(), d).has_duplicates());
+}
+
+// Hyperbox::bounding over the median of every keep-subset, each solved
+// from scratch by `median`.
+template <typename Median>
+Hyperbox composed_subset_box(const VectorList& pts, std::size_t keep,
+                             Median median) {
+  VectorList medians;
+  for_each_combination(pts.size(), keep,
+                       [&](const std::vector<std::size_t>& idx) {
+                         medians.push_back(median(gather(pts, idx)));
+                       });
+  return Hyperbox::bounding(medians);
+}
+
+Hyperbox oracle_subset_box(const VectorList& pts, std::size_t keep) {
+  return composed_subset_box(pts, keep, [](const VectorList& subset) {
+    return reference::geometric_median_point(subset);
+  });
+}
+
+TEST(WeiszfeldOracle, DuplicateInboxBoxesMatchOracleComposition) {
+  const std::size_t d = 64;
+  ThreadPool pool(3);
+  for (const DuplicateInbox& inbox : duplicate_inboxes(d)) {
+    SCOPED_TRACE(inbox.name);
+    const VectorList& pts = inbox.rows;
+    const bool has_nan = inbox.name == "nan copies";
+    for (const std::size_t keep : {2, 3, 8}) {
+      SCOPED_TRACE(testing::Message() << "keep=" << keep);
+      // The oracle's majority test keys a std::map on the rows, whose
+      // ordering takes a NaN as equivalent to any value, so it counts NaN
+      // copies as equal; the kernel compares with ==.  Rows with NaNs are
+      // held to the kernel solving every subset instead.
+      const Hyperbox expected =
+          has_nan ? composed_subset_box(pts, keep,
+                                        [](const VectorList& subset) {
+                                          return geometric_median_point(
+                                              subset);
+                                        })
+                  : oracle_subset_box(pts, keep);
+      for (ThreadPool* workers : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        const Hyperbox box = subset_aggregate_box(
+            pts, keep, SubsetAggregate::kGeometricMedian, {}, workers);
+        EXPECT_TRUE(same_bits(box.lo(), expected.lo()));
+        EXPECT_TRUE(same_bits(box.hi(), expected.hi()));
+      }
+    }
+    // The rule itself rejects non-finite rows.
+    if (has_nan) continue;
+    const AggregationContext serial = context_of(pts.size(), 2);
+    const auto box = Hyperbox::intersect(trimmed_hyperbox(pts, 8),
+                                         oracle_subset_box(pts, 8));
+    ASSERT_TRUE(box.has_value());
+    AggregationContext pooled = serial;
+    pooled.pool = &pool;
+    for (const AggregationContext& ctx : {serial, pooled}) {
+      EXPECT_TRUE(same_bits(make_rule("BOX-GEOM")->aggregate(pts, ctx),
+                            box->midpoint()));
+    }
+  }
 }
 
 // --- medoid ---

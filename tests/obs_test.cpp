@@ -417,6 +417,33 @@ TEST(TraceAttributionTest, SharedBoxGeomStepIsNotAGramBuild) {
   EXPECT_EQ(step_spans, builds);
 }
 
+// The convergence trace of every agreement instance is its own span: one
+// at the start and one after each sub-round, so that time is attributed
+// to the trace and not left in the `agreement` span's self time.
+TEST(TraceAttributionTest, AgreementTraceSpanPerSubroundPlusOne) {
+  ScenarioSpec spec = small_spec("spans");
+  spec.rule = "BOX-GEOM";
+  spec.clients = 7;
+  spec.rounds = 3;
+  spec.topology = experiments::Topology::Decentralized;
+  ScenarioRunner runner;
+  const ScenarioSummary summary = runner.run(spec);
+  ASSERT_TRUE(summary.error.empty()) << summary.error;
+  std::size_t agreement_spans = 0;
+  std::size_t trace_spans = 0;
+  for (const obs::TraceRecord& record : summary.trace) {
+    if (record.phase != 'B') continue;
+    const std::string name = record.name;
+    if (name == "agreement") ++agreement_spans;
+    if (name == "agreement.trace") ++trace_spans;
+  }
+  EXPECT_EQ(agreement_spans, spec.rounds);
+  const std::uint64_t subrounds =
+      summary.metrics.counter_or("agreement.subrounds");
+  EXPECT_GT(subrounds, 0u);
+  EXPECT_EQ(trace_spans, subrounds + agreement_spans);
+}
+
 TEST(TraceEmitterTest, WritesPerCellTraceFiles) {
   const std::string dir = testing::TempDir() + "bcl_obs_traces";
   experiments::TraceEmitter emitter(dir, false);

@@ -420,9 +420,9 @@ void expect_parses_as_json_array(const std::string& text,
 TEST(Emitters, UnwritablePathFailsAtConstruction) {
   // A bad artifact path must fail before any scenario runs, not after the
   // whole sweep.
-  EXPECT_THROW(experiments::JsonEmitter("/nonexistent/dir/x.json"),
+  EXPECT_THROW(experiments::JsonEmitter("/dev/null/dir/x.json"),
                std::runtime_error);
-  EXPECT_THROW(experiments::CsvEmitter("/nonexistent/dir/x"),
+  EXPECT_THROW(experiments::CsvEmitter("/dev/null/dir/x"),
                std::runtime_error);
 }
 
