@@ -16,21 +16,57 @@ double geometric_median_objective(const VectorList& points, const Vector& y) {
 
 namespace {
 
-// ||a - b|| as one serial sum in coordinate order — the order distance()
-// uses, which every bitwise contract on the geometric median rests on.
-double row_distance(const double* a, const double* b, std::size_t d) {
-  double s = 0.0;
-  for (std::size_t k = 0; k < d; ++k) {
-    const double diff = a[k] - b[k];
-    s += diff * diff;
+// dist[i] = ||rows[i] - y|| for every row.  Each distance is one serial
+// sum in coordinate order -- the order distance() uses, which every
+// bitwise contract on the geometric median rests on.  A block of four rows
+// shares one sweep of the coordinates with four running sums, so the adds
+// of different rows overlap instead of each waiting on the one before;
+// the n mod 4 rows left over take one sweep each.
+void row_distances(const double* const* rows, std::size_t n, std::size_t d,
+                   const double* y, double* dist) {
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const double* r0 = rows[i];
+    const double* r1 = rows[i + 1];
+    const double* r2 = rows[i + 2];
+    const double* r3 = rows[i + 3];
+    double s0 = 0.0;
+    double s1 = 0.0;
+    double s2 = 0.0;
+    double s3 = 0.0;
+    for (std::size_t k = 0; k < d; ++k) {
+      const double yk = y[k];
+      const double e0 = r0[k] - yk;
+      const double e1 = r1[k] - yk;
+      const double e2 = r2[k] - yk;
+      const double e3 = r3[k] - yk;
+      s0 += e0 * e0;
+      s1 += e1 * e1;
+      s2 += e2 * e2;
+      s3 += e3 * e3;
+    }
+    dist[i] = std::sqrt(s0);
+    dist[i + 1] = std::sqrt(s1);
+    dist[i + 2] = std::sqrt(s2);
+    dist[i + 3] = std::sqrt(s3);
   }
-  return std::sqrt(s);
+  for (; i < n; ++i) {
+    const double* r = rows[i];
+    double s = 0.0;
+    for (std::size_t k = 0; k < d; ++k) {
+      const double e = r[k] - y[k];
+      s += e * e;
+    }
+    dist[i] = std::sqrt(s);
+  }
 }
 
+// sum_i ||rows[i] - y||, summed in row order; dist is n-sized scratch.
 double rows_objective(const double* const* rows, std::size_t n,
-                      std::size_t d, const double* y) {
+                      std::size_t d, const double* y, double* dist) {
+  row_distances(rows, n, d, y, dist);
   double s = 0.0;
-  for (std::size_t i = 0; i < n; ++i) s += row_distance(rows[i], y, d);
+  for (std::size_t i = 0; i < n; ++i) s += dist[i];
   return s;
 }
 
@@ -104,11 +140,6 @@ WeiszfeldRowsResult geometric_median_rows(const double* const* rows,
   }
   WeiszfeldRowsResult result;
   result.converged = true;
-  const auto answer = [&](const double* point) {
-    result.point = point;
-    if (with_objective) result.objective = rows_objective(rows, n, d, point);
-    return result;
-  };
   // One point, or (below) all points equal: the answer is the first row
   // and the objective is left at 0.
   result.point = rows[0];
@@ -116,8 +147,17 @@ WeiszfeldRowsResult geometric_median_rows(const double* const* rows,
 
   scratch.y.resize(d);
   scratch.numerator.resize(d);
+  scratch.distances.resize(n);
   double* y = scratch.y.data();
   double* numerator = scratch.numerator.data();
+  double* dist = scratch.distances.data();
+  const auto answer = [&](const double* point) {
+    result.point = point;
+    if (with_objective) {
+      result.objective = rows_objective(rows, n, d, point, dist);
+    }
+    return result;
+  };
   if (n == 2) {
     for (std::size_t k = 0; k < d; ++k) y[k] = 0.5 * (rows[0][k] + rows[1][k]);
     return answer(y);
@@ -138,16 +178,14 @@ WeiszfeldRowsResult geometric_median_rows(const double* const* rows,
   const double inv_n = 1.0 / static_cast<double>(n);
   for (std::size_t k = 0; k < d; ++k) y[k] *= inv_n;
 
-  scratch.distances.resize(n);
-  double* dist = scratch.distances.data();
   for (std::size_t it = 0; it < options.max_iterations; ++it) {
     result.iterations = it + 1;
     // The one distance pass: rows within `snap` of y anchor the iterate;
     // every other row carries Weiszfeld weight 1 / dist.
+    row_distances(rows, n, d, y, dist);
     std::size_t anchor_multiplicity = 0;
     double denominator = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      dist[i] = row_distance(rows[i], y, d);
       if (dist[i] <= snap) {
         ++anchor_multiplicity;
       } else {

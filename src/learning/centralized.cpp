@@ -84,6 +84,7 @@ TrainingResult CentralizedTrainer::run() {
 
   ClientLanes clients(config_, factory_, *train_, root);
   global_params_ = clients.initial_parameters(root);
+  const EvalBatch eval(*test_, config_.eval_max_examples);
   Rng attack_rng = root.split(3);
   const std::size_t dim = global_params_.size();
 
@@ -362,8 +363,7 @@ TrainingResult CentralizedTrainer::run() {
     metrics.mean_honest_loss = honest_loss;
     metrics.accuracy = [&] {
       BCL_TRACE_SPAN("evaluate");
-      return evaluate_with(clients.first_lane(), global_params_, *test_,
-                           config_.eval_max_examples);
+      return evaluate_with(clients.first_lane(), global_params_, eval);
     }();
     metrics.accuracy_min = metrics.accuracy;
     metrics.accuracy_max = metrics.accuracy;

@@ -24,15 +24,19 @@ double stochastic_gradient_with(ml::Model& scratch, const ml::Dataset& data,
   return loss;
 }
 
-double evaluate_with(ml::Model& scratch, const Vector& parameters,
-                     const ml::Dataset& eval_set, std::size_t max_examples) {
-  scratch.set_parameters(parameters);
+EvalBatch::EvalBatch(const ml::Dataset& eval_set, std::size_t max_examples) {
   std::size_t count = eval_set.size();
   if (max_examples > 0) count = std::min(count, max_examples);
   std::vector<std::size_t> indices(count);
   std::iota(indices.begin(), indices.end(), 0);
-  return scratch.accuracy(eval_set.batch(indices),
-                          eval_set.batch_labels(indices));
+  inputs = eval_set.batch(indices);
+  labels = eval_set.batch_labels(indices);
+}
+
+double evaluate_with(ml::Model& scratch, const Vector& parameters,
+                     const EvalBatch& eval) {
+  scratch.set_parameters(parameters);
+  return scratch.accuracy(eval.inputs, eval.labels);
 }
 
 ClientLanes::ClientLanes(const TrainingConfig& config,

@@ -30,10 +30,19 @@ double stochastic_gradient_with(ml::Model& scratch, const ml::Dataset& data,
                                 std::size_t batch_size, Rng& rng,
                                 const Vector& parameters, double* out_gradient);
 
-/// Accuracy at `parameters` on the first `max_examples` of `eval_set`
-/// (0 = all), computed on `scratch`; depends only on the parameter bytes.
+/// The first `max_examples` rows of an evaluation set (0 = all) and their
+/// labels, gathered once per run: every evaluation reads this batch
+/// instead of copying the rows out of the dataset again.
+struct EvalBatch {
+  EvalBatch(const ml::Dataset& eval_set, std::size_t max_examples);
+  ml::Tensor inputs;
+  std::vector<std::uint8_t> labels;
+};
+
+/// Accuracy at `parameters` on `eval`, computed by an inference pass on
+/// `scratch`; depends only on the parameter bytes.
 double evaluate_with(ml::Model& scratch, const Vector& parameters,
-                     const ml::Dataset& eval_set, std::size_t max_examples = 0);
+                     const EvalBatch& eval);
 
 /// The per-client state of both trainers and its lane models.  Client i
 /// samples config.batch_size examples from its shard of the partition

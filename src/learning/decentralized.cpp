@@ -60,6 +60,7 @@ TrainingResult DecentralizedTrainer::run() {
   // from the data and faults.
   ClientLanes clients(config_, factory_, *train_, root);
   params_.assign(honest_count, clients.initial_parameters(root));
+  const EvalBatch eval(*test_, config_.eval_max_examples);
 
   AgreementConfig agreement;
   agreement.n = n;
@@ -287,8 +288,7 @@ TrainingResult DecentralizedTrainer::run() {
       }
       distinct_accuracy.resize(distinct.size());
       clients.for_each(distinct.size(), [&](ml::Model& lane, std::size_t k) {
-        distinct_accuracy[k] = evaluate_with(lane, params_[distinct[k]], *test_,
-                                             config_.eval_max_examples);
+        distinct_accuracy[k] = evaluate_with(lane, params_[distinct[k]], eval);
       });
     }
 

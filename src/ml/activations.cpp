@@ -7,6 +7,10 @@ namespace bcl::ml {
 
 Tensor ReLU::forward(const Tensor& input) {
   cached_input_ = input;
+  return infer(input);
+}
+
+Tensor ReLU::infer(const Tensor& input) {
   Tensor output = input;
   for (std::size_t i = 0; i < output.size(); ++i) {
     if (output[i] < 0.0) output[i] = 0.0;
@@ -26,11 +30,16 @@ Tensor ReLU::backward(const Tensor& grad_output) {
 }
 
 Tensor Tanh::forward(const Tensor& input) {
+  Tensor output = infer(input);
+  cached_output_ = output;
+  return output;
+}
+
+Tensor Tanh::infer(const Tensor& input) {
   Tensor output = input;
   for (std::size_t i = 0; i < output.size(); ++i) {
     output[i] = std::tanh(output[i]);
   }
-  cached_output_ = output;
   return output;
 }
 

@@ -10,6 +10,7 @@ class ReLU final : public Layer {
  public:
   std::string name() const override { return "ReLU"; }
   Tensor forward(const Tensor& input) override;
+  Tensor infer(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
 
  private:
@@ -22,6 +23,7 @@ class Tanh final : public Layer {
  public:
   std::string name() const override { return "Tanh"; }
   Tensor forward(const Tensor& input) override;
+  Tensor infer(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
 
  private:

@@ -35,6 +35,12 @@ void Conv2D::initialize(Rng& rng) {
 }
 
 Tensor Conv2D::forward(const Tensor& input) {
+  Tensor output = infer(input);
+  cached_input_ = input;
+  return output;
+}
+
+Tensor Conv2D::infer(const Tensor& input) {
   if (input.rank() != 4 || input.dim(1) != in_c_) {
     throw std::invalid_argument("Conv2D::forward: expected [N, C_in, H, W]");
   }
@@ -43,7 +49,6 @@ Tensor Conv2D::forward(const Tensor& input) {
   if (h + 2 * pad_ < k_ || w + 2 * pad_ < k_) {
     throw std::invalid_argument("Conv2D::forward: kernel larger than input");
   }
-  cached_input_ = input;
   return mode_ == Mode::Im2col ? forward_im2col(input)
                                : forward_direct(input);
 }

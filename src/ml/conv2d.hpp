@@ -32,6 +32,7 @@ class Conv2D final : public Layer {
 
   std::string name() const override { return "Conv2D"; }
   Tensor forward(const Tensor& input) override;
+  Tensor infer(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
 
   std::size_t parameter_count() const override {

@@ -30,10 +30,15 @@ void Dense::initialize(Rng& rng) {
 }
 
 Tensor Dense::forward(const Tensor& input) {
+  Tensor output = infer(input);
+  cached_input_ = input;
+  return output;
+}
+
+Tensor Dense::infer(const Tensor& input) {
   if (input.rank() != 2 || input.dim(1) != in_) {
     throw std::invalid_argument("Dense::forward: expected [N, in] input");
   }
-  cached_input_ = input;
   const std::size_t batch = input.dim(0);
   Tensor output({batch, out_});
   // y = b + x W: each y[n][o] is bias plus one dot against W^T row o; the

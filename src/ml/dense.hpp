@@ -20,6 +20,7 @@ class Dense final : public Layer {
 
   std::string name() const override { return "Dense"; }
   Tensor forward(const Tensor& input) override;
+  Tensor infer(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
 
   std::size_t parameter_count() const override {

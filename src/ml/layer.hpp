@@ -24,6 +24,12 @@ class Layer {
   /// forward()/backward() pairs must not interleave across batches.
   virtual Tensor forward(const Tensor& input) = 0;
 
+  /// Inference pass: the same output bits as forward(), keeping nothing
+  /// for backward(), so evaluation copies no activations.  The default
+  /// calls forward(); layers whose forward() keeps a copy of a tensor
+  /// override it.
+  virtual Tensor infer(const Tensor& input) { return forward(input); }
+
   /// Backward pass: receives dLoss/dOutput, accumulates parameter
   /// gradients, returns dLoss/dInput.
   virtual Tensor backward(const Tensor& grad_output) = 0;

@@ -59,10 +59,31 @@ void Model::zero_gradients() {
   for (auto& layer : layers_) layer->zero_gradients();
 }
 
-Tensor Model::forward(const Tensor& input) {
-  Tensor x = input;
-  for (auto& layer : layers_) x = layer->forward(x);
+namespace {
+
+// Runs `input` through the layers with `pass`; the first layer reads the
+// input in place, so the input itself is never copied.
+template <typename Pass>
+Tensor run_layers(const std::vector<std::unique_ptr<Layer>>& layers,
+                  const Tensor& input, Pass pass) {
+  if (layers.empty()) return input;
+  Tensor x = pass(*layers.front(), input);
+  for (std::size_t i = 1; i < layers.size(); ++i) x = pass(*layers[i], x);
   return x;
+}
+
+}  // namespace
+
+Tensor Model::forward(const Tensor& input) {
+  return run_layers(layers_, input, [](Layer& layer, const Tensor& x) {
+    return layer.forward(x);
+  });
+}
+
+Tensor Model::infer(const Tensor& input) {
+  return run_layers(layers_, input, [](Layer& layer, const Tensor& x) {
+    return layer.infer(x);
+  });
 }
 
 void Model::backward(const Tensor& grad_output) {
@@ -83,13 +104,13 @@ double Model::compute_loss_and_gradient(
 
 double Model::compute_loss(const Tensor& batch,
                            const std::vector<std::uint8_t>& labels) {
-  const Tensor logits = forward(batch);
+  const Tensor logits = infer(batch);
   return softmax_cross_entropy(logits, labels).loss;
 }
 
 double Model::accuracy(const Tensor& batch,
                        const std::vector<std::uint8_t>& labels) {
-  const Tensor logits = forward(batch);
+  const Tensor logits = infer(batch);
   const auto predictions = argmax_rows(logits);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < predictions.size(); ++i) {

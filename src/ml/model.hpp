@@ -51,6 +51,10 @@ class Model {
   /// Forward pass through all layers.
   Tensor forward(const Tensor& input);
 
+  /// Inference pass through all layers (Layer::infer): forward()'s output
+  /// bits, with no state kept for backward().
+  Tensor infer(const Tensor& input);
+
   /// Backward pass from dLoss/dOutput.
   void backward(const Tensor& grad_output);
 
@@ -60,11 +64,11 @@ class Model {
   double compute_loss_and_gradient(const Tensor& batch,
                                    const std::vector<std::uint8_t>& labels);
 
-  /// Mean loss without touching gradients.
+  /// Mean loss without touching gradients (an inference pass).
   double compute_loss(const Tensor& batch,
                       const std::vector<std::uint8_t>& labels);
 
-  /// Fraction of correctly classified rows.
+  /// Fraction of correctly classified rows (an inference pass).
   double accuracy(const Tensor& batch, const std::vector<std::uint8_t>& labels);
 
  private:

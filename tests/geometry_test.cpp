@@ -218,8 +218,10 @@ VectorList random_rows(Rng& rng, std::size_t k, std::size_t d,
 }
 
 TEST(WeiszfeldOracle, RandomInputsMatchBitwise) {
+  // Every remainder of the kernel's four-row blocks, after zero to three
+  // whole blocks.
   Rng rng(41);
-  for (const std::size_t k : {1u, 2u, 3u, 8u, 9u, 10u}) {
+  for (std::size_t k = 1; k <= 13; ++k) {
     for (int trial = 0; trial < 5; ++trial) {
       SCOPED_TRACE(testing::Message() << "k=" << k << " trial=" << trial);
       expect_matches_reference(random_rows(rng, k, 7));
@@ -265,6 +267,67 @@ TEST(WeiszfeldOracle, IterateOnInputPointMatchesBitwise) {
                         {-1.0, -0.1}};
   expect_matches_reference(push);
   EXPECT_GT(geometric_median(push).iterations, 1u);
+}
+
+TEST(WeiszfeldOracle, AnchorAcrossBlocksMatchesBitwise) {
+  // k = 5..7 rows whose centroid is exactly the zero row, placed first
+  // (in the first block of four) or last (in the remainder).  Stop: the
+  // other rows come in +-v pairs (an even k holds the zero row twice), so
+  // their unit directions cancel and Kuhn's test accepts the zero row.
+  // Push-off: one row at (k - 2) e_0 against k - 2 rows around -e_0 pulls
+  // the iterate off the zero row.
+  Rng rng(48);
+  const std::size_t d = 9;
+  for (std::size_t k = 5; k <= 7; ++k) {
+    for (const bool stop : {true, false}) {
+      VectorList others;
+      if (stop) {
+        for (const Vector& v : random_rows(rng, (k - 1) / 2, d)) {
+          others.push_back(v);
+          others.push_back(scale(v, -1.0));
+        }
+      } else {
+        others.push_back(Vector(d, 0.0));
+        others.back()[0] = static_cast<double>(k - 2);
+        for (std::size_t j = 0; j + 2 < k; ++j) {
+          others.push_back(Vector(d, 0.0));
+          others.back()[0] = -1.0;
+          // +-0.1 e_{1 + j/2} by pairs: the rows still sum to zero.
+          if (j % 2 == 1 || j + 3 < k) {
+            others.back()[1 + j / 2] = j % 2 == 0 ? 0.1 : -0.1;
+          }
+        }
+      }
+      const std::size_t anchors = k - others.size();
+      for (const bool last : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "k=" << k << " stop=" << stop << " last=" << last);
+        VectorList pts = others;
+        pts.insert(last ? pts.end() : pts.begin(), anchors, Vector(d, 0.0));
+        expect_matches_reference(pts);
+        EXPECT_EQ(geometric_median(pts).iterations == 1, stop);
+      }
+    }
+  }
+}
+
+TEST(WeiszfeldOracle, SignedZerosAcrossBlocksMatchBitwise) {
+  // Coordinate 0 is -0.0 in every row and coordinate 1 alternates -0.0 /
+  // 0.0: every sum starts from +0.0 as the oracle's does, so the median
+  // holds +0.0 in both, whichever block or remainder a row falls in.
+  Rng rng(49);
+  for (std::size_t k = 5; k <= 7; ++k) {
+    SCOPED_TRACE(testing::Message() << "k=" << k);
+    VectorList pts = random_rows(rng, k, 8);
+    for (std::size_t i = 0; i < k; ++i) {
+      pts[i][0] = -0.0;
+      pts[i][1] = i % 2 == 0 ? -0.0 : 0.0;
+    }
+    expect_matches_reference(pts);
+    const Vector median = geometric_median(pts).point;
+    EXPECT_FALSE(std::signbit(median[0]));
+    EXPECT_FALSE(std::signbit(median[1]));
+  }
 }
 
 TEST(WeiszfeldOracle, IdenticalRowsMatchBitwise) {
@@ -457,23 +520,15 @@ TEST(RowClasses, MajorityIsTheKernelsMajorityRow) {
   EXPECT_FALSE(RowClasses(rows.data(), rows.size(), d).has_duplicates());
 }
 
-// Hyperbox::bounding over the median of every keep-subset, each solved
-// from scratch by `median`.
-template <typename Median>
-Hyperbox composed_subset_box(const VectorList& pts, std::size_t keep,
-                             Median median) {
+// Hyperbox::bounding over the oracle's median of every keep-subset.
+Hyperbox oracle_subset_box(const VectorList& pts, std::size_t keep) {
   VectorList medians;
   for_each_combination(pts.size(), keep,
                        [&](const std::vector<std::size_t>& idx) {
-                         medians.push_back(median(gather(pts, idx)));
+                         medians.push_back(reference::geometric_median_point(
+                             gather(pts, idx)));
                        });
   return Hyperbox::bounding(medians);
-}
-
-Hyperbox oracle_subset_box(const VectorList& pts, std::size_t keep) {
-  return composed_subset_box(pts, keep, [](const VectorList& subset) {
-    return reference::geometric_median_point(subset);
-  });
 }
 
 TEST(WeiszfeldOracle, DuplicateInboxBoxesMatchOracleComposition) {
@@ -482,20 +537,9 @@ TEST(WeiszfeldOracle, DuplicateInboxBoxesMatchOracleComposition) {
   for (const DuplicateInbox& inbox : duplicate_inboxes(d)) {
     SCOPED_TRACE(inbox.name);
     const VectorList& pts = inbox.rows;
-    const bool has_nan = inbox.name == "nan copies";
     for (const std::size_t keep : {2, 3, 8}) {
       SCOPED_TRACE(testing::Message() << "keep=" << keep);
-      // The oracle's majority test keys a std::map on the rows, whose
-      // ordering takes a NaN as equivalent to any value, so it counts NaN
-      // copies as equal; the kernel compares with ==.  Rows with NaNs are
-      // held to the kernel solving every subset instead.
-      const Hyperbox expected =
-          has_nan ? composed_subset_box(pts, keep,
-                                        [](const VectorList& subset) {
-                                          return geometric_median_point(
-                                              subset);
-                                        })
-                  : oracle_subset_box(pts, keep);
+      const Hyperbox expected = oracle_subset_box(pts, keep);
       for (ThreadPool* workers : {static_cast<ThreadPool*>(nullptr), &pool}) {
         const Hyperbox box = subset_aggregate_box(
             pts, keep, SubsetAggregate::kGeometricMedian, {}, workers);
@@ -504,7 +548,7 @@ TEST(WeiszfeldOracle, DuplicateInboxBoxesMatchOracleComposition) {
       }
     }
     // The rule itself rejects non-finite rows.
-    if (has_nan) continue;
+    if (inbox.name == "nan copies") continue;
     const AggregationContext serial = context_of(pts.size(), 2);
     const auto box = Hyperbox::intersect(trimmed_hyperbox(pts, 8),
                                          oracle_subset_box(pts, 8));

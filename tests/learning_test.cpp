@@ -103,7 +103,8 @@ TEST(ClientFunctions, EvaluateReturnsFraction) {
   Rng init(4);
   probe.initialize(init);
   ml::Model scratch = factory();
-  const double acc = evaluate_with(scratch, probe.parameters(), data.test, 50);
+  const double acc =
+      evaluate_with(scratch, probe.parameters(), EvalBatch(data.test, 50));
   EXPECT_GE(acc, 0.0);
   EXPECT_LE(acc, 1.0);
 }
@@ -341,9 +342,10 @@ TEST(Decentralized, DivergentModelsAreEvaluatedPerNode) {
 
   // The last round's accuracies are those of the final honest models.
   ml::Model scratch = factory();
+  const EvalBatch eval(data.test, 100);
   double sum = 0.0, lo = 1.0, hi = 0.0;
   for (const Vector& params : trainer.honest_parameters()) {
-    const double a = evaluate_with(scratch, params, data.test, 100);
+    const double a = evaluate_with(scratch, params, eval);
     sum += a;
     lo = std::min(lo, a);
     hi = std::max(hi, a);

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <set>
 
@@ -352,6 +353,115 @@ TEST(Model, CifarNetShapesFlowThrough) {
 TEST(Model, CifarNetGradientCheck) {
   Model model = make_cifarnet(1, 8, 8, 3, 2, 3, 6);
   check_gradients(model, 64, 3, 2, 17, 1e-5);
+}
+
+// --- inference pass ---
+
+Tensor random_batch(Rng& rng, std::size_t rows, std::size_t cols) {
+  Tensor x({rows, cols});
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = rng.uniform(-1.0, 1.0);
+  return x;
+}
+
+std::vector<std::uint8_t> random_labels(Rng& rng, std::size_t rows,
+                                        std::size_t classes) {
+  std::vector<std::uint8_t> y(rows);
+  for (auto& label : y) {
+    label = static_cast<std::uint8_t>(rng.uniform_u64(classes));
+  }
+  return y;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+Model tanh_mlp() {
+  Model model;
+  model.add(std::make_unique<Dense>(6, 5))
+      .add(std::make_unique<Tanh>())
+      .add(std::make_unique<Dense>(5, 3));
+  return model;
+}
+
+struct InferCase {
+  const char* name;
+  Model (*make)();
+  std::size_t input_dim;
+  std::size_t classes;
+};
+
+const InferCase kInferCases[] = {
+    {"mlp", [] { return make_mlp(6, 5, 4, 3); }, 6, 3},
+    {"tanh", tanh_mlp, 6, 3},
+    {"cifarnet", [] { return make_cifarnet(1, 8, 8, 3, 2, 3, 6); }, 64, 3},
+};
+
+TEST(Model, InferMatchesForwardBitwise) {
+  for (const InferCase& c : kInferCases) {
+    SCOPED_TRACE(c.name);
+    Model model = c.make();
+    Rng rng(18);
+    model.initialize(rng);
+    const Tensor x = random_batch(rng, 5, c.input_dim);
+    const Tensor inferred = model.infer(x);
+    const Tensor forwarded = model.forward(x);
+    EXPECT_EQ(inferred.shape(), forwarded.shape());
+    EXPECT_TRUE(same_bits(inferred.storage(), forwarded.storage()));
+  }
+}
+
+// Evaluating a model (at other parameters, on a batch of another size)
+// must leave no trace in the next gradient.
+TEST(Model, EvaluationLeavesNextGradientUnchanged) {
+  for (const InferCase& c : kInferCases) {
+    SCOPED_TRACE(c.name);
+    Rng rng(19);
+    Model fresh = c.make();
+    fresh.initialize(rng);
+    const Vector theta = fresh.parameters();
+    Model evaluated = c.make();
+    evaluated.initialize(rng);
+    const Tensor eval_x = random_batch(rng, 7, c.input_dim);
+    const auto eval_y = random_labels(rng, 7, c.classes);
+    const Tensor x = random_batch(rng, 4, c.input_dim);
+    const auto y = random_labels(rng, 4, c.classes);
+
+    evaluated.accuracy(eval_x, eval_y);
+    evaluated.compute_loss(eval_x, eval_y);
+    evaluated.set_parameters(theta);
+    evaluated.accuracy(eval_x, eval_y);
+    const double loss = evaluated.compute_loss_and_gradient(x, y);
+    const double fresh_loss = fresh.compute_loss_and_gradient(x, y);
+    EXPECT_EQ(std::memcmp(&loss, &fresh_loss, sizeof(double)), 0);
+    EXPECT_TRUE(same_bits(evaluated.gradients(), fresh.gradients()));
+  }
+}
+
+// Dense, ReLU and Tanh keep nothing in infer(), so an evaluation between
+// forward() and backward() leaves that backward() unchanged (the shape
+// layers of CifarNet fall back to forward() and do not promise it).
+TEST(Model, InferBetweenForwardAndBackwardKeepsTheForwardState) {
+  for (const InferCase& c : {kInferCases[0], kInferCases[1]}) {
+    SCOPED_TRACE(c.name);
+    Rng rng(20);
+    Model model = c.make();
+    model.initialize(rng);
+    const Tensor x = random_batch(rng, 4, c.input_dim);
+    const auto y = random_labels(rng, 4, c.classes);
+    const Tensor eval_x = random_batch(rng, 7, c.input_dim);
+    const LossResult loss = softmax_cross_entropy(model.forward(x), y);
+
+    model.zero_gradients();
+    model.backward(loss.grad_logits);
+    const Vector expected = model.gradients();
+    model.zero_gradients();
+    model.forward(x);
+    model.infer(eval_x);
+    model.backward(loss.grad_logits);
+    EXPECT_TRUE(same_bits(model.gradients(), expected));
+  }
 }
 
 // --- optimizer ---

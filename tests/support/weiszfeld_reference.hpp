@@ -1,15 +1,18 @@
 #pragma once
 // Reference Weiszfeld solver: the VectorList implementation the row-view
-// kernel in src/geometry/weiszfeld.cpp replaced, kept verbatim as a
-// bitwise oracle.  The kernel's contract is that point, iterations,
+// kernel in src/geometry/weiszfeld.cpp replaced, kept as a bitwise
+// oracle.  The kernel's contract is that point, iterations,
 // converged and objective match this function bit for bit on every input;
 // geometry_test asserts it and bench_micro_aggregation times the kernel
 // against it.  Do not "tidy" this body: any change to its floating-point
-// operation order moves the oracle.
+// operation order moves the oracle.  The one departure from the replaced
+// solver is its majority test, which keyed a std::map on the rows; the
+// map's ordering takes a NaN as equivalent to any value, so it counted
+// copies of a row holding a NaN as equal.  Rows now compare with ==, as
+// the kernel compares them.
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 
 #include "geometry/weiszfeld.hpp"
@@ -52,17 +55,17 @@ inline WeiszfeldResult geometric_median(const VectorList& points,
   }
 
   // Majority property: if some point has multiplicity > n/2 it is the
-  // geometric median.
-  {
-    std::map<Vector, std::size_t> counts;
-    for (const auto& p : points) ++counts[p];
-    for (const auto& [p, c] : counts) {
-      if (2 * c > n) {
-        result.point = p;
-        result.converged = true;
-        result.objective = geometric_median_objective(points, p);
-        return result;
-      }
+  // geometric median.  Rows compare with == per coordinate, so -0.0
+  // equals 0.0, a row holding a NaN equals no row, and the answer is the
+  // majority's first occurrence.
+  for (const auto& p : points) {
+    const auto c = static_cast<std::size_t>(
+        std::count(points.begin(), points.end(), p));
+    if (2 * c > n) {
+      result.point = p;
+      result.converged = true;
+      result.objective = geometric_median_objective(points, p);
+      return result;
     }
   }
 
